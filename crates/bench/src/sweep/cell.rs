@@ -4,10 +4,10 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use adaptivefl_core::methods::{AdaptiveFl, FlMethod, MethodKind};
+use adaptivefl_core::methods::{AdaptiveFl, MethodKind};
 use adaptivefl_core::metrics::RunResult;
 use adaptivefl_core::select::SelectionStrategy;
-use adaptivefl_core::sim::{Env, RunHooks, SimConfig, Simulation};
+use adaptivefl_core::sim::{Env, RunMethod, SimConfig, Simulation};
 use adaptivefl_core::transport::PerfectTransport;
 use adaptivefl_data::{Partition, SynthSpec};
 use adaptivefl_device::testbed::paper_testbed;
@@ -37,14 +37,14 @@ impl CellRun {
         }
     }
 
-    /// Builds the method exactly as the original bins did.
-    pub fn instantiate(&self, env: &Env) -> Box<dyn FlMethod> {
+    /// The method to run, built exactly as the original bins did.
+    pub fn method(&self, env: &Env) -> RunMethod {
         match self {
-            CellRun::Kind(k) => k.instantiate(env),
-            CellRun::AdaptiveCap(cap) => Box::new(
+            CellRun::Kind(k) => RunMethod::Kind(*k),
+            CellRun::AdaptiveCap(cap) => RunMethod::Explicit(Box::new(
                 AdaptiveFl::new(env, SelectionStrategy::CuriosityAndResource, false)
                     .with_reward_cap(*cap),
-            ),
+            )),
         }
     }
 }
@@ -245,45 +245,26 @@ fn run_prepared(cell: &Cell, seed: u64, store_slug: &str, opts: &JobOpts) -> Run
         sim.set_tracer(Arc::clone(&t) as Arc<dyn adaptivefl_core::trace::Tracer>);
         t
     });
+    let method = cell.run.method(sim.env());
     let result = match &opts.resume {
-        None => {
-            let method = cell.run.instantiate(sim.env());
-            sim.run_method(method)
-        }
-        // Checkpointed runs keep the exact `run_kind`/`run_method`
-        // flow of the single-seed bins (same snapshot `kind` field,
-        // same checkpoint trace events), so old resume directories
-        // stay valid.
+        None => sim
+            .run_with(method, &mut PerfectTransport, None, None)
+            .expect("no sink or snapshot configured, so no error is possible")
+            .expect("no halt configured, so the run completes"),
+        // Kind cells record their kind in snapshots, explicit methods
+        // none — the layout of the single-seed bins, so old resume
+        // directories stay valid.
         Some(dir) => {
             let mut store =
                 SnapshotStore::open(dir.join(store_slug)).expect("opening checkpoint store");
-            match cell.run {
-                CellRun::Kind(kind) => run_or_resume(
-                    &mut sim,
-                    kind,
-                    &mut PerfectTransport,
-                    &mut store,
-                    CHECKPOINT_EVERY,
-                )
-                .expect("checkpointed run"),
-                CellRun::AdaptiveCap(_) => {
-                    let method = cell.run.instantiate(sim.env());
-                    let resume_point = store.latest_valid().expect("scanning checkpoint store");
-                    let hooks = RunHooks {
-                        checkpoint_every: CHECKPOINT_EVERY,
-                        sink: &mut store,
-                        halt_after: None,
-                    };
-                    let run = match &resume_point {
-                        Some((_, snap)) => {
-                            sim.resume_method_with_hooks(method, snap, &mut PerfectTransport, hooks)
-                        }
-                        None => sim.run_method_with_hooks(method, &mut PerfectTransport, hooks),
-                    };
-                    run.expect("checkpointed run")
-                        .expect("no halt configured, so the run completes")
-                }
-            }
+            run_or_resume(
+                &mut sim,
+                method,
+                &mut PerfectTransport,
+                &mut store,
+                CHECKPOINT_EVERY,
+            )
+            .expect("checkpointed run")
         }
     };
     finish_trace(tracer);

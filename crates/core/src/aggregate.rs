@@ -30,30 +30,25 @@ pub struct Upload {
 /// Panics if an upload has an unknown parameter name, a non-nested
 /// shape, or a non-positive weight.
 pub fn aggregate(global: &mut ParamMap, uploads: &[Upload]) {
-    aggregate_traced(global, uploads, &crate::trace::NoopTracer, 0);
+    aggregate_with_scratch(
+        global,
+        uploads,
+        &crate::trace::NoopTracer,
+        0,
+        &Scratch::new(),
+    );
 }
 
-/// [`aggregate`] with per-layer element-coverage reporting: when the
-/// tracer is enabled, emits one [`TraceEvent::LayerCoverage`] per
-/// touched parameter tensor counting how many elements were covered by
-/// at least one upload (Algorithm 2's covered/kept split). The
-/// arithmetic is identical to [`aggregate`] — coverage is counted from
-/// the same `cnt` accumulator the averaging already computes, so
-/// tracing cannot perturb the result.
-pub fn aggregate_traced(
-    global: &mut ParamMap,
-    uploads: &[Upload],
-    tracer: &dyn Tracer,
-    round: usize,
-) {
-    aggregate_with_scratch(global, uploads, tracer, round, &Scratch::new());
-}
-
-/// [`aggregate_traced`] drawing the per-parameter `acc`/`cnt`
-/// accumulators from a [`Scratch`] arena, so a long run allocates them
-/// once instead of twice per parameter per round. The arithmetic is
-/// identical — the arena hands out zeroed buffers, exactly what the
-/// per-round `Tensor::zeros` allocations previously produced.
+/// [`aggregate`] drawing the per-parameter `acc`/`cnt` accumulators
+/// from a [`Scratch`] arena, so a long run allocates them once instead
+/// of twice per parameter per round, with per-layer element-coverage
+/// reporting: when the tracer is enabled, emits one
+/// [`TraceEvent::LayerCoverage`] per touched parameter tensor counting
+/// how many elements were covered by at least one upload (Algorithm
+/// 2's covered/kept split). The arithmetic is identical to
+/// [`aggregate`] — the arena hands out zeroed buffers, and coverage is
+/// counted from the same `cnt` accumulator the averaging already
+/// computes, so neither the arena nor tracing can perturb the result.
 pub fn aggregate_with_scratch(
     global: &mut ParamMap,
     uploads: &[Upload],

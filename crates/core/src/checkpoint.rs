@@ -23,7 +23,7 @@
 //! round `R` replays rounds `R+1..T` with the exact RNG stream and
 //! server state of the uninterrupted run, so the final accuracy, RL
 //! tables and [`CommStats`](crate::transport::CommStats) are
-//! bit-identical at any thread count (see `Simulation::resume_*`).
+//! bit-identical at any thread count (see `Simulation::run_with`).
 
 use adaptivefl_nn::ParamMap;
 use rand_chacha::ChaCha8Rng;
@@ -90,8 +90,8 @@ pub trait Checkpointable {
 pub struct ServerSnapshot {
     /// The method kind, when the run was started from a
     /// [`MethodKind`]; `None` for explicitly constructed methods
-    /// (whose resume goes through
-    /// `Simulation::resume_method_with_transport`).
+    /// (whose resume goes through `Simulation::run_with` with the
+    /// method, carrying this field forward).
     pub kind: Option<MethodKind>,
     /// The method's display name (resume validates it).
     pub method_name: String,

@@ -1,22 +1,23 @@
 //! AdaptiveFL — Algorithm 1 of the paper.
 
+use std::borrow::Cow;
+
 use adaptivefl_models::cost::cost_of;
-use adaptivefl_nn::layer::LayerExt;
 use adaptivefl_nn::ParamMap;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::aggregate::{aggregate_with_scratch, Upload};
 use crate::checkpoint::{Checkpointable, MethodState};
 use crate::error::CoreError;
-use crate::methods::FlMethod;
-use crate::metrics::{EvalRecord, RoundRecord};
+use crate::methods::{
+    levels_record, test_accuracy, Assignment, FlMethod, LocalModel, Objective, RoundPlan,
+};
+use crate::metrics::EvalRecord;
 use crate::rl::RlState;
 use crate::select::{select_client, SelectionStrategy};
 use crate::sim::Env;
-use crate::trace::{status_name, Phase, PhaseTimer, TraceEvent};
-use crate::trainer::evaluate;
-use crate::transport::{ClientJob, JobFn, LocalOutcome, Transport};
+use crate::trace::TraceEvent;
+use crate::transport::Delivery;
 
 /// AdaptiveFL server state: the full global model, the RL tables, and
 /// the selection strategy (ablation variants reuse this struct).
@@ -50,11 +51,6 @@ impl AdaptiveFl {
     /// Read access to the RL state (for diagnostics/tests).
     pub fn rl(&self) -> &RlState {
         &self.rl
-    }
-
-    /// Read access to the global model.
-    pub fn global(&self) -> &ParamMap {
-        &self.global
     }
 }
 
@@ -96,20 +92,14 @@ impl FlMethod for AdaptiveFl {
         }
     }
 
-    fn round(
-        &mut self,
-        env: &Env,
-        round: usize,
-        transport: &mut dyn Transport,
-        rng: &mut ChaCha8Rng,
-    ) -> RoundRecord {
+    fn plan(&self, env: &Env, round: usize, rng: &mut ChaCha8Rng) -> RoundPlan {
         let pool = &env.pool;
         let k = env.cfg.clients_per_round;
         let mut eligible = env.eligible_clients(round);
 
         // Step 2+3: pick (model, client) pairs; clients are distinct
         // within a round.
-        let mut assignments: Vec<(usize, usize)> = Vec::with_capacity(k); // (pool idx, client)
+        let mut assignments = Vec::with_capacity(k);
         for _ in 0..k {
             if eligible.is_empty() {
                 break;
@@ -131,186 +121,87 @@ impl FlMethod for AdaptiveFl {
                 break;
             };
             eligible.retain(|&x| x != c);
-            assignments.push((m_idx, c));
-        }
-
-        // Steps 4-5: dispatch one job per assignment; the closure is
-        // the client side — adaptive pruning to the currently available
-        // resources, then local training.
-        let dispatch_timer = PhaseTimer::start(env.tracer(), Phase::Dispatch);
-        let global = &self.global;
-        let mut jobs: Vec<ClientJob<'_>> = Vec::with_capacity(assignments.len());
-        let mut sent = 0u64;
-        for &(m_idx, c) in &assignments {
-            let entry = pool.entry(m_idx);
-            self.rl.update_on_dispatch(entry.level, c);
-            sent += entry.params;
-            if env.tracer().enabled() {
-                env.tracer().event(TraceEvent::Dispatch {
-                    round,
-                    client: c,
-                    tag: m_idx,
-                    params: entry.params,
-                });
-                env.tracer().event(TraceEvent::RlDispatch {
-                    round,
-                    client: c,
-                    level: entry.level.type_index(),
-                });
-            }
-
-            let run: JobFn<'_> = Box::new(move |rng: &mut ChaCha8Rng| {
-                let train_timer = PhaseTimer::start(env.tracer(), Phase::ClientTrain);
-                let capacity = env.fleet.device(c).capacity_at(round);
-                let Some(fit) = pool.largest_fitting(m_idx, capacity) else {
-                    // The dispatched model still travelled down the
-                    // link; the transport charges the downlink.
-                    train_timer.stop(env.tracer());
-                    return LocalOutcome::failure();
-                };
-                let sub = pool.prune_plan(fit.index).extract(global);
-                let mut net = env.cfg.model.build(&fit.plan, rng);
-                net.load_param_map(&sub);
-                let data = env.data.client(c);
-                let loss = env
-                    .cfg
-                    .local
-                    .train_with_scratch(&mut net, data, rng, &env.scratch);
-                let macs = cost_of(
-                    &env.cfg.model.full_blueprint(&fit.plan),
-                    env.cfg.model.input,
-                )
-                .macs;
-                train_timer.stop(env.tracer());
-                if env.tracer().enabled() {
-                    env.tracer().event(TraceEvent::ClientTrain {
-                        round,
-                        client: c,
-                        tag: fit.index,
-                        loss,
-                        samples: data.len(),
-                        macs_per_sample: macs,
-                    });
-                }
-                LocalOutcome {
-                    upload: Some(Upload {
-                        params: net.param_map(),
-                        weight: data.len() as f32,
-                    }),
-                    loss,
-                    tag: fit.index,
-                    macs_per_sample: macs,
-                    samples: data.len(),
-                    up_params: fit.params,
-                }
-            });
-            jobs.push(ClientJob {
+            assignments.push(Assignment {
                 client: c,
                 tag: m_idx,
-                down_params: entry.params,
-                run,
+                down_params: pool.entry(m_idx).params,
             });
         }
-        dispatch_timer.stop(env.tracer());
-
-        let exchange = transport.exchange(env, round, jobs, rng);
-
-        // Step 6: consume deliveries — RL return updates, then
-        // heterogeneous aggregation of whatever survived the link.
-        let collect_timer = PhaseTimer::start(env.tracer(), Phase::Collect);
-        let mut uploads = Vec::with_capacity(exchange.deliveries.len());
-        let mut returned = 0u64;
-        let mut loss_acc = 0.0f32;
-        let mut trained = 0usize;
-        let mut failures = 0usize;
-        for d in exchange.deliveries {
-            if env.tracer().enabled() {
-                env.tracer().event(TraceEvent::Collect {
-                    round,
-                    client: d.client,
-                    status: status_name(d.status),
-                    up_params: if d.status.is_delivered() {
-                        d.up_params
-                    } else {
-                        0
-                    },
-                });
-            }
-            if d.status.is_delivered() {
-                returned += d.up_params;
-                loss_acc += d.loss;
-                trained += 1;
-                uploads.push(d.upload.expect("delivered upload present"));
-                self.rl
-                    .update_on_return(pool, d.tag, Some(d.client_tag), d.client);
-                if env.tracer().enabled() {
-                    env.tracer().event(TraceEvent::RlReturn {
-                        round,
-                        client: d.client,
-                        sent: d.tag,
-                        returned: Some(d.client_tag),
-                    });
-                }
-            } else {
-                // Resource failures and transport losses (drops, late
-                // uploads, crashes) look the same from the server: the
-                // dispatched model never came back, so `T_r` records a
-                // total failure.
-                self.rl.update_on_return(pool, d.tag, None, d.client);
-                if env.tracer().enabled() {
-                    env.tracer().event(TraceEvent::RlReturn {
-                        round,
-                        client: d.client,
-                        sent: d.tag,
-                        returned: None,
-                    });
-                }
-                failures += 1;
-            }
-        }
-        collect_timer.stop(env.tracer());
-        let agg_timer = PhaseTimer::start(env.tracer(), Phase::Aggregate);
-        aggregate_with_scratch(
-            &mut self.global,
-            &uploads,
-            env.tracer(),
-            round,
-            &env.scratch,
-        );
-        agg_timer.stop(env.tracer());
-
-        RoundRecord {
-            round,
-            sent_params: sent,
-            returned_params: returned,
-            train_loss: if trained > 0 {
-                loss_acc / trained as f32
-            } else {
-                0.0
-            },
-            sim_secs: exchange.round_secs,
-            failures,
-            comm: exchange.stats,
+        RoundPlan {
+            assignments,
+            skipped: 0,
         }
     }
 
+    // Steps 4-5: curiosity update for every dispatched model.
+    fn on_dispatch(&mut self, env: &Env, round: usize, a: &Assignment) {
+        let level = env.pool.entry(a.tag).level;
+        self.rl.update_on_dispatch(level, a.client);
+        if env.tracer().enabled() {
+            env.tracer().event(TraceEvent::RlDispatch {
+                round,
+                client: a.client,
+                level: level.type_index(),
+            });
+        }
+    }
+
+    // Step 6: resource-table update. Resource failures and transport
+    // losses (drops, late uploads, crashes) look the same from the
+    // server: the dispatched model never came back, so `T_r` records a
+    // total failure.
+    fn on_delivery(&mut self, env: &Env, round: usize, d: &Delivery) {
+        let returned = d.status.is_delivered().then_some(d.client_tag);
+        self.rl
+            .update_on_return(&env.pool, d.tag, returned, d.client);
+        if env.tracer().enabled() {
+            env.tracer().event(TraceEvent::RlReturn {
+                round,
+                client: d.client,
+                sent: d.tag,
+                returned,
+            });
+        }
+    }
+
+    // The client side: adaptive pruning to the currently available
+    // resources.
+    fn local_model(
+        &self,
+        env: &Env,
+        round: usize,
+        client: usize,
+        tag: usize,
+    ) -> Option<LocalModel<'_>> {
+        let capacity = env.fleet.device(client).capacity_at(round);
+        let fit = env.pool.largest_fitting(tag, capacity)?;
+        let blueprint = env.cfg.model.full_blueprint(&fit.plan);
+        Some(LocalModel {
+            tag: fit.index,
+            macs_per_sample: cost_of(&blueprint, env.cfg.model.input).macs,
+            blueprint: Cow::Owned(blueprint),
+            weights: Cow::Owned(env.pool.prune_plan(fit.index).extract(&self.global)),
+            params: fit.params,
+            objective: Objective::CrossEntropy,
+        })
+    }
+
+    fn globals_mut(&mut self) -> &mut [ParamMap] {
+        std::slice::from_mut(&mut self.global)
+    }
+
     fn evaluate(&mut self, env: &Env, round: usize) -> EvalRecord {
-        let mut levels = Vec::new();
-        for rep in env.pool.level_representatives() {
-            let sub = env.pool.prune_plan(rep.index).extract(&self.global);
-            let mut net = env.cfg.model.build(&rep.plan, &mut env.eval_rng());
-            net.load_param_map(&sub);
-            levels.push((
-                rep.name(),
-                evaluate(&mut net, env.data.test(), env.cfg.eval_batch),
-            ));
-        }
         // Full accuracy = the L_1 (global) model, which is the last rep.
-        let full = levels.last().map_or(0.0, |(_, a)| *a);
-        EvalRecord {
-            round,
-            full,
-            levels,
-        }
+        let levels = env
+            .pool
+            .level_representatives()
+            .into_iter()
+            .map(|rep| {
+                let sub = env.pool.prune_plan(rep.index).extract(&self.global);
+                let bp = env.cfg.model.full_blueprint(&rep.plan);
+                (rep.name(), test_accuracy(env, &bp, &sub))
+            })
+            .collect();
+        levels_record(round, levels)
     }
 }

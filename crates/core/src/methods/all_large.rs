@@ -2,20 +2,20 @@
 //! client (McMahan et al.), the paper's non-resource-constrained
 //! reference.
 
+use std::borrow::Cow;
+
 use adaptivefl_models::cost::cost_of;
-use adaptivefl_nn::layer::LayerExt;
+use adaptivefl_models::Blueprint;
 use adaptivefl_nn::ParamMap;
 use rand_chacha::ChaCha8Rng;
 
-use crate::aggregate::{aggregate_with_scratch, Upload};
 use crate::checkpoint::{Checkpointable, MethodState};
 use crate::error::CoreError;
-use crate::methods::{sample_clients, trace_client_train, trace_collect, trace_dispatch, FlMethod};
-use crate::metrics::{EvalRecord, RoundRecord};
+use crate::methods::{
+    sample_clients, test_accuracy, Assignment, FlMethod, LocalModel, Objective, RoundPlan,
+};
+use crate::metrics::EvalRecord;
 use crate::sim::Env;
-use crate::trace::{Phase, PhaseTimer};
-use crate::trainer::evaluate;
-use crate::transport::{ClientJob, JobFn, LocalOutcome, Transport};
 
 /// FedAvg on `L_1` with uniformly sampled clients. Resource limits are
 /// deliberately ignored (the paper trains All-Large "with all clients
@@ -23,13 +23,22 @@ use crate::transport::{ClientJob, JobFn, LocalOutcome, Transport};
 /// scenarios).
 pub struct AllLarge {
     global: ParamMap,
+    /// The full model's architecture, size and per-sample MACs.
+    blueprint: Blueprint,
+    params: u64,
+    macs: u64,
 }
 
 impl AllLarge {
     /// Initialises the global model.
     pub fn new(env: &Env) -> Self {
+        let full = env.pool.largest();
+        let blueprint = env.cfg.model.full_blueprint(&full.plan);
         AllLarge {
             global: env.fresh_global(),
+            macs: cost_of(&blueprint, env.cfg.model.input).macs,
+            blueprint,
+            params: full.params,
         }
     }
 }
@@ -50,115 +59,45 @@ impl FlMethod for AllLarge {
         "All-Large".to_string()
     }
 
-    fn round(
-        &mut self,
-        env: &Env,
-        round: usize,
-        transport: &mut dyn Transport,
-        rng: &mut ChaCha8Rng,
-    ) -> RoundRecord {
-        let full = env.pool.largest();
-        let clients = sample_clients(env, round, env.cfg.clients_per_round, rng);
-        let macs = cost_of(
-            &env.cfg.model.full_blueprint(&full.plan),
-            env.cfg.model.input,
-        )
-        .macs;
-
-        let dispatch_timer = PhaseTimer::start(env.tracer(), Phase::Dispatch);
-        let global = &self.global;
-        let jobs: Vec<ClientJob<'_>> = clients
-            .iter()
-            .map(|&c| {
-                trace_dispatch(env, round, c, 0, full.params);
-                let run: JobFn<'_> = Box::new(move |rng: &mut ChaCha8Rng| {
-                    let train_timer = PhaseTimer::start(env.tracer(), Phase::ClientTrain);
-                    let mut net = env.cfg.model.build(&full.plan, rng);
-                    net.load_param_map(global);
-                    let data = env.data.client(c);
-                    let loss = env
-                        .cfg
-                        .local
-                        .train_with_scratch(&mut net, data, rng, &env.scratch);
-                    train_timer.stop(env.tracer());
-                    trace_client_train(env, round, c, 0, loss, data.len(), macs);
-                    LocalOutcome {
-                        upload: Some(Upload {
-                            params: net.param_map(),
-                            weight: data.len() as f32,
-                        }),
-                        loss,
-                        tag: 0,
-                        macs_per_sample: macs,
-                        samples: data.len(),
-                        up_params: full.params,
-                    }
-                });
-                ClientJob {
-                    client: c,
+    fn plan(&self, env: &Env, round: usize, rng: &mut ChaCha8Rng) -> RoundPlan {
+        RoundPlan {
+            assignments: sample_clients(env, round, rng)
+                .into_iter()
+                .map(|client| Assignment {
+                    client,
                     tag: 0,
-                    down_params: full.params,
-                    run,
-                }
-            })
-            .collect();
-        dispatch_timer.stop(env.tracer());
-
-        let exchange = transport.exchange(env, round, jobs, rng);
-
-        let collect_timer = PhaseTimer::start(env.tracer(), Phase::Collect);
-        let mut uploads = Vec::with_capacity(exchange.deliveries.len());
-        let mut returned = 0u64;
-        let mut loss_acc = 0.0;
-        let mut trained = 0usize;
-        let mut failures = 0usize;
-        for d in exchange.deliveries {
-            trace_collect(env, round, &d);
-            if d.status.is_delivered() {
-                returned += d.up_params;
-                loss_acc += d.loss;
-                trained += 1;
-                uploads.push(d.upload.expect("delivered upload present"));
-            } else {
-                failures += 1;
-            }
-        }
-        collect_timer.stop(env.tracer());
-        let agg_timer = PhaseTimer::start(env.tracer(), Phase::Aggregate);
-        aggregate_with_scratch(
-            &mut self.global,
-            &uploads,
-            env.tracer(),
-            round,
-            &env.scratch,
-        );
-        agg_timer.stop(env.tracer());
-
-        RoundRecord {
-            round,
-            sent_params: full.params * clients.len() as u64,
-            returned_params: returned,
-            train_loss: if trained > 0 {
-                loss_acc / trained as f32
-            } else {
-                0.0
-            },
-            sim_secs: exchange.round_secs,
-            failures,
-            comm: exchange.stats,
+                    down_params: self.params,
+                })
+                .collect(),
+            skipped: 0,
         }
     }
 
+    fn local_model(
+        &self,
+        _env: &Env,
+        _round: usize,
+        _client: usize,
+        _tag: usize,
+    ) -> Option<LocalModel<'_>> {
+        Some(LocalModel {
+            tag: 0,
+            blueprint: Cow::Borrowed(&self.blueprint),
+            weights: Cow::Borrowed(&self.global),
+            params: self.params,
+            macs_per_sample: self.macs,
+            objective: Objective::CrossEntropy,
+        })
+    }
+
+    fn globals_mut(&mut self) -> &mut [ParamMap] {
+        std::slice::from_mut(&mut self.global)
+    }
+
     fn evaluate(&mut self, env: &Env, round: usize) -> EvalRecord {
-        let mut net = env
-            .cfg
-            .model
-            .build(&env.pool.largest().plan, &mut env.eval_rng());
-        net.load_param_map(&self.global);
-        let full = evaluate(&mut net, env.data.test(), env.cfg.eval_batch);
         EvalRecord {
             round,
-            full,
+            full: test_accuracy(env, &self.blueprint, &self.global),
             levels: Vec::new(),
         }
     }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use crate::checkpoint::{ServerSnapshot, SnapshotSink};
 use crate::error::CoreError;
 use crate::methods::{FlMethod, MethodKind};
-use crate::metrics::{EvalRecord, RoundRecord, RunResult};
+use crate::metrics::RunResult;
 use crate::pool::{ModelPool, DEFAULT_RATIOS};
 use crate::trace::{NoopTracer, Phase, PhaseTimer, TraceEvent, Tracer};
 use crate::trainer::LocalTrainer;
@@ -180,7 +180,30 @@ impl Env {
     }
 }
 
-/// Checkpoint hooks for a run (see [`Simulation::run_with_hooks`]).
+/// The method a run plays (see [`Simulation::run_with`]): a
+/// [`MethodKind`] instantiated against the environment, or an
+/// explicitly constructed method.
+pub enum RunMethod {
+    /// A method of the comparison line-up; snapshots record the kind.
+    Kind(MethodKind),
+    /// An explicitly constructed method (e.g. an ablation variant);
+    /// snapshots record no kind.
+    Explicit(Box<dyn FlMethod>),
+}
+
+impl From<MethodKind> for RunMethod {
+    fn from(kind: MethodKind) -> Self {
+        RunMethod::Kind(kind)
+    }
+}
+
+impl From<Box<dyn FlMethod>> for RunMethod {
+    fn from(method: Box<dyn FlMethod>) -> Self {
+        RunMethod::Explicit(method)
+    }
+}
+
+/// Checkpoint hooks for a run (see [`Simulation::run_with`]).
 pub struct RunHooks<'a> {
     /// Snapshot every this many completed rounds (0 = only when
     /// halting). Snapshots are skipped after the final round — a
@@ -267,28 +290,16 @@ impl Simulation {
         self
     }
 
-    /// Installs a tracer for subsequent runs (builder form). Tracers
-    /// observe but never influence a run: a traced run's result is
-    /// bit-identical to an untraced one.
-    pub fn with_tracer(mut self, tracer: Arc<dyn Tracer>) -> Self {
-        self.env.tracer = tracer;
-        self
-    }
-
-    /// Installs a tracer for subsequent runs.
+    /// Installs a tracer for subsequent runs. Tracers observe but never
+    /// influence a run: a traced run's result is bit-identical to an
+    /// untraced one.
     pub fn set_tracer(&mut self, tracer: Arc<dyn Tracer>) {
         self.env.tracer = tracer;
     }
 
-    /// Installs a shared scratch arena for subsequent runs (builder
-    /// form). Sharing an arena across simulations reuses its buffers;
-    /// results are bit-identical to a private arena.
-    pub fn with_scratch(mut self, scratch: Scratch) -> Self {
-        self.env.scratch = scratch;
-        self
-    }
-
-    /// Installs a shared scratch arena for subsequent runs.
+    /// Installs a shared scratch arena for subsequent runs. Sharing an
+    /// arena across simulations reuses its buffers; results are
+    /// bit-identical to a private arena.
     pub fn set_scratch(&mut self, scratch: Scratch) {
         self.env.scratch = scratch;
     }
@@ -297,306 +308,86 @@ impl Simulation {
     /// [`PerfectTransport`] (lossless sequential link), evaluating
     /// every `cfg.eval_every` rounds and after the final round.
     pub fn run(&mut self, kind: MethodKind) -> RunResult {
-        self.run_with_transport(kind, &mut PerfectTransport)
-    }
-
-    /// Runs one method over an explicit transport (e.g. the faulty
-    /// parallel `SimTransport` of `adaptivefl-comm`).
-    pub fn run_with_transport(
-        &mut self,
-        kind: MethodKind,
-        transport: &mut dyn Transport,
-    ) -> RunResult {
-        let method = kind.instantiate(&self.env);
-        self.run_method_with_transport(method, transport)
+        self.run_with(kind, &mut PerfectTransport, None, None)
+            .expect("no sink or snapshot configured, so no error is possible")
+            .expect("no halt configured, so the run completes")
     }
 
     /// Runs an explicitly constructed method (e.g. an AdaptiveFL
-    /// instance with non-default RL settings for ablations) over the
-    /// default [`PerfectTransport`].
-    pub fn run_method(&mut self, method: Box<dyn crate::methods::FlMethod>) -> RunResult {
-        self.run_method_with_transport(method, &mut PerfectTransport)
-    }
-
-    /// Runs an explicitly constructed method over an explicit
-    /// transport.
+    /// instance with non-default RL settings for ablations) over an
+    /// explicit transport (e.g. the faulty parallel `SimTransport` of
+    /// `adaptivefl-comm`).
     pub fn run_method_with_transport(
         &mut self,
-        method: Box<dyn crate::methods::FlMethod>,
+        method: Box<dyn FlMethod>,
         transport: &mut dyn Transport,
     ) -> RunResult {
-        let rng = self.run_rng(&*method);
-        self.drive(
-            None,
-            method,
-            transport,
-            rng,
-            0,
-            Vec::new(),
-            Vec::new(),
-            None,
-        )
-        .expect("no sink configured, so no sink error is possible")
-        .expect("no halt configured, so the run completes")
+        self.run_with(method, transport, None, None)
+            .expect("no sink or snapshot configured, so no error is possible")
+            .expect("no halt configured, so the run completes")
     }
 
-    /// Runs a method with checkpoint/halt hooks: every
-    /// `hooks.checkpoint_every` completed rounds the full server state
-    /// is frozen into a [`ServerSnapshot`] and handed to the sink.
-    /// Returns `Ok(None)` when `hooks.halt_after` stopped the run
-    /// early (after saving a snapshot).
-    pub fn run_with_hooks(
-        &mut self,
-        kind: MethodKind,
-        transport: &mut dyn Transport,
-        hooks: RunHooks<'_>,
-    ) -> Result<Option<RunResult>, CoreError> {
-        let method = kind.instantiate(&self.env);
-        let rng = self.run_rng(&*method);
-        self.drive(
-            Some(kind),
-            method,
-            transport,
-            rng,
-            0,
-            Vec::new(),
-            Vec::new(),
-            Some(hooks),
-        )
-    }
-
-    /// Runs an explicitly constructed method with checkpoint/halt
-    /// hooks (the `run_method` counterpart of
-    /// [`Simulation::run_with_hooks`]). Snapshots carry no
-    /// [`MethodKind`], so they resume through
-    /// [`Simulation::resume_method_with_transport`] /
-    /// [`Simulation::resume_method_with_hooks`].
-    pub fn run_method_with_hooks(
-        &mut self,
-        method: Box<dyn crate::methods::FlMethod>,
-        transport: &mut dyn Transport,
-        hooks: RunHooks<'_>,
-    ) -> Result<Option<RunResult>, CoreError> {
-        let rng = self.run_rng(&*method);
-        self.drive(
-            None,
-            method,
-            transport,
-            rng,
-            0,
-            Vec::new(),
-            Vec::new(),
-            Some(hooks),
-        )
-    }
-
-    /// Runs a method, checkpointing every `every` rounds into `sink`.
-    pub fn run_with_checkpoints(
-        &mut self,
-        kind: MethodKind,
-        transport: &mut dyn Transport,
-        every: usize,
-        sink: &mut dyn SnapshotSink,
-    ) -> Result<RunResult, CoreError> {
-        let hooks = RunHooks {
-            checkpoint_every: every,
-            sink,
-            halt_after: None,
-        };
-        Ok(self
-            .run_with_hooks(kind, transport, hooks)?
-            .expect("no halt configured, so the run completes"))
-    }
-
-    /// Resumes a snapshotted run over the default
-    /// [`PerfectTransport`]. The continued run is bit-identical to the
+    /// The general entry point: runs `method` — a [`MethodKind`] or an
+    /// explicitly constructed method — over `transport`, optionally
+    /// with checkpoint/halt `hooks`, optionally resuming from a
+    /// snapshot.
+    ///
+    /// With hooks, every `hooks.checkpoint_every` completed rounds the
+    /// full server state is frozen into a [`ServerSnapshot`] and handed
+    /// to the sink; the snapshot records the method kind (`None` for an
+    /// explicit method). Returns `Ok(None)` when `hooks.halt_after`
+    /// stopped the run early (after saving a snapshot).
+    ///
+    /// On resume the continued run is bit-identical to the
     /// uninterrupted one: same RNG stream, same server state, same
-    /// history.
-    pub fn resume_from(&mut self, snap: &ServerSnapshot) -> Result<RunResult, CoreError> {
-        self.resume_with_transport(snap, &mut PerfectTransport)
-    }
-
-    /// Resumes a snapshotted run over an explicit transport. The
-    /// transport must be configured identically to the original run's
-    /// (fault plans and deadlines are derived from the seed and round
-    /// index, so a freshly built transport with the same settings
-    /// replays identically at any thread count).
-    pub fn resume_with_transport(
+    /// history. A kind resume needs a snapshot of that kind; an
+    /// explicit method must be constructed exactly as the original was
+    /// (its state is then replaced by the snapshot's) and carries the
+    /// snapshot's kind forward. The transport must be configured
+    /// identically to the original run's (fault plans and deadlines
+    /// derive from the seed and round index, so a freshly built
+    /// transport with the same settings replays identically at any
+    /// thread count).
+    pub fn run_with(
         &mut self,
-        snap: &ServerSnapshot,
+        method: impl Into<RunMethod>,
         transport: &mut dyn Transport,
-    ) -> Result<RunResult, CoreError> {
-        let Some(kind) = snap.kind else {
-            return Err(CoreError::Snapshot(
-                "snapshot has no method kind; resume the explicit method via \
-                 resume_method_with_transport"
-                    .into(),
-            ));
-        };
-        let method = kind.instantiate(&self.env);
-        Ok(self
-            .resume_inner(Some(kind), method, snap, transport, None)?
-            .expect("no halt configured, so the run completes"))
-    }
-
-    /// Resumes a snapshotted run with fresh checkpoint/halt hooks (so
-    /// a resumed long run keeps checkpointing).
-    pub fn resume_with_hooks(
-        &mut self,
-        snap: &ServerSnapshot,
-        transport: &mut dyn Transport,
-        hooks: RunHooks<'_>,
-    ) -> Result<Option<RunResult>, CoreError> {
-        let Some(kind) = snap.kind else {
-            return Err(CoreError::Snapshot(
-                "snapshot has no method kind; resume the explicit method via \
-                 resume_method_with_transport"
-                    .into(),
-            ));
-        };
-        let method = kind.instantiate(&self.env);
-        self.resume_inner(Some(kind), method, snap, transport, Some(hooks))
-    }
-
-    /// Resumes a snapshot into an explicitly constructed method (e.g.
-    /// an AdaptiveFL instance with a non-default reward cap). The
-    /// method must be constructed exactly as the original was; its
-    /// state is then replaced by the snapshot's.
-    pub fn resume_method_with_transport(
-        &mut self,
-        method: Box<dyn crate::methods::FlMethod>,
-        snap: &ServerSnapshot,
-        transport: &mut dyn Transport,
-    ) -> Result<RunResult, CoreError> {
-        Ok(self
-            .resume_inner(snap.kind, method, snap, transport, None)?
-            .expect("no halt configured, so the run completes"))
-    }
-
-    /// Resumes an explicitly constructed method with fresh
-    /// checkpoint/halt hooks.
-    pub fn resume_method_with_hooks(
-        &mut self,
-        method: Box<dyn crate::methods::FlMethod>,
-        snap: &ServerSnapshot,
-        transport: &mut dyn Transport,
-        hooks: RunHooks<'_>,
-    ) -> Result<Option<RunResult>, CoreError> {
-        self.resume_inner(snap.kind, method, snap, transport, Some(hooks))
-    }
-
-    /// The deterministic environment fingerprint stored in snapshots
-    /// and checked on resume.
-    pub fn cfg_fingerprint(cfg: &SimConfig) -> String {
-        format!("{cfg:?}")
-    }
-
-    fn run_rng(&self, method: &dyn FlMethod) -> ChaCha8Rng {
-        adaptivefl_tensor::rng::derived(self.env.cfg.seed, &format!("run-{}", method.name()))
-    }
-
-    fn resume_inner(
-        &mut self,
-        kind: Option<MethodKind>,
-        mut method: Box<dyn crate::methods::FlMethod>,
-        snap: &ServerSnapshot,
-        transport: &mut dyn Transport,
-        hooks: Option<RunHooks<'_>>,
-    ) -> Result<Option<RunResult>, CoreError> {
-        self.validate_snapshot(snap, &*method)?;
-        method.restore(snap.method.clone())?;
-        let rng = snap.rng()?;
-        self.drive(
-            kind,
-            method,
-            transport,
-            rng,
-            snap.completed_rounds,
-            snap.rounds.clone(),
-            snap.evals.clone(),
-            hooks,
-        )
-    }
-
-    fn validate_snapshot(
-        &self,
-        snap: &ServerSnapshot,
-        method: &dyn crate::methods::FlMethod,
-    ) -> Result<(), CoreError> {
-        if snap.method_name != method.name() {
-            return Err(CoreError::Snapshot(format!(
-                "snapshot is of method {}, resuming {}",
-                snap.method_name,
-                method.name()
-            )));
-        }
-        let fp = Self::cfg_fingerprint(&self.env.cfg);
-        if snap.cfg_fingerprint != fp {
-            return Err(CoreError::Snapshot(format!(
-                "configuration mismatch: snapshot built for {}, environment is {fp}",
-                snap.cfg_fingerprint
-            )));
-        }
-        let pool_params: Vec<u64> = self.env.pool.entries().iter().map(|e| e.params).collect();
-        if snap.pool_p != self.env.pool.p() || snap.pool_params != pool_params {
-            return Err(CoreError::Snapshot(
-                "model pool mismatch: the environment splits the model differently".into(),
-            ));
-        }
-        if snap.completed_rounds > self.env.cfg.rounds {
-            return Err(CoreError::Snapshot(format!(
-                "snapshot has {} completed rounds, configuration runs {}",
-                snap.completed_rounds, self.env.cfg.rounds
-            )));
-        }
-        if snap.rounds.len() != snap.completed_rounds {
-            return Err(CoreError::Snapshot(format!(
-                "snapshot history has {} round records for {} completed rounds",
-                snap.rounds.len(),
-                snap.completed_rounds
-            )));
-        }
-        Ok(())
-    }
-
-    fn snapshot(
-        &self,
-        kind: Option<MethodKind>,
-        method: &dyn crate::methods::FlMethod,
-        rng: &ChaCha8Rng,
-        completed_rounds: usize,
-        rounds: &[RoundRecord],
-        evals: &[EvalRecord],
-    ) -> ServerSnapshot {
-        ServerSnapshot {
-            kind,
-            method_name: method.name(),
-            completed_rounds,
-            rng_words: rng.state_words().to_vec(),
-            method: method.capture(),
-            rounds: rounds.to_vec(),
-            evals: evals.to_vec(),
-            cfg_fingerprint: Self::cfg_fingerprint(&self.env.cfg),
-            pool_p: self.env.pool.p(),
-            pool_params: self.env.pool.entries().iter().map(|e| e.params).collect(),
-        }
-    }
-
-    /// The shared round loop: every `run_*`/`resume_*` entry point
-    /// funnels through here so the round/eval/checkpoint cadence is
-    /// identical whether a run starts fresh or from a snapshot.
-    #[allow(clippy::too_many_arguments)]
-    fn drive(
-        &mut self,
-        kind: Option<MethodKind>,
-        mut method: Box<dyn crate::methods::FlMethod>,
-        transport: &mut dyn Transport,
-        mut rng: ChaCha8Rng,
-        start_round: usize,
-        mut rounds: Vec<RoundRecord>,
-        mut evals: Vec<EvalRecord>,
         mut hooks: Option<RunHooks<'_>>,
+        resume: Option<&ServerSnapshot>,
     ) -> Result<Option<RunResult>, CoreError> {
+        let (kind, mut method) = match method.into() {
+            RunMethod::Kind(kind) => {
+                if let Some(snap) = resume.filter(|s| s.kind != Some(kind)) {
+                    return Err(CoreError::Snapshot(format!(
+                        "snapshot is of method kind {:?}, resuming {kind}",
+                        snap.kind
+                    )));
+                }
+                (Some(kind), kind.instantiate(&self.env))
+            }
+            RunMethod::Explicit(method) => (resume.and_then(|s| s.kind), method),
+        };
+        let (mut rng, start_round, mut rounds, mut evals) = match resume {
+            None => {
+                let stream = format!("run-{}", method.name());
+                let rng = adaptivefl_tensor::rng::derived(self.env.cfg.seed, &stream);
+                (rng, 0, Vec::new(), Vec::new())
+            }
+            Some(snap) => {
+                self.validate_snapshot(snap, &*method)?;
+                method.restore(snap.method.clone())?;
+                let rng = snap.rng()?;
+                (
+                    rng,
+                    snap.completed_rounds,
+                    snap.rounds.clone(),
+                    snap.evals.clone(),
+                )
+            }
+        };
+
+        // The round loop: fresh and resumed runs share it, so the
+        // round/eval/checkpoint cadence is identical either way.
         let tracer = Arc::clone(&self.env.tracer);
         if tracer.enabled() {
             tracer.event(TraceEvent::RunStart {
@@ -639,8 +430,18 @@ impl Simulation {
                 let periodic = h.checkpoint_every > 0 && done % h.checkpoint_every == 0 && !last;
                 if halt || periodic {
                     let ckpt_timer = PhaseTimer::start(&*tracer, Phase::Checkpoint);
-                    let snap = self.snapshot(kind, &*method, &rng, done, &rounds, &evals);
-                    h.sink.save(&snap)?;
+                    h.sink.save(&ServerSnapshot {
+                        kind,
+                        method_name: method.name(),
+                        completed_rounds: done,
+                        rng_words: rng.state_words().to_vec(),
+                        method: method.capture(),
+                        rounds: rounds.clone(),
+                        evals: evals.clone(),
+                        cfg_fingerprint: Self::cfg_fingerprint(&self.env.cfg),
+                        pool_p: self.env.pool.p(),
+                        pool_params: self.pool_params(),
+                    })?;
                     ckpt_timer.stop(&*tracer);
                     if tracer.enabled() {
                         tracer.event(TraceEvent::CheckpointSave { round: done });
@@ -657,6 +458,56 @@ impl Simulation {
             evals,
         }))
     }
+
+    /// The deterministic environment fingerprint stored in snapshots
+    /// and checked on resume.
+    pub fn cfg_fingerprint(cfg: &SimConfig) -> String {
+        format!("{cfg:?}")
+    }
+
+    fn validate_snapshot(
+        &self,
+        snap: &ServerSnapshot,
+        method: &dyn FlMethod,
+    ) -> Result<(), CoreError> {
+        if snap.method_name != method.name() {
+            return Err(CoreError::Snapshot(format!(
+                "snapshot is of method {}, resuming {}",
+                snap.method_name,
+                method.name()
+            )));
+        }
+        let fp = Self::cfg_fingerprint(&self.env.cfg);
+        if snap.cfg_fingerprint != fp {
+            return Err(CoreError::Snapshot(format!(
+                "configuration mismatch: snapshot built for {}, environment is {fp}",
+                snap.cfg_fingerprint
+            )));
+        }
+        if snap.pool_p != self.env.pool.p() || snap.pool_params != self.pool_params() {
+            return Err(CoreError::Snapshot(
+                "model pool mismatch: the environment splits the model differently".into(),
+            ));
+        }
+        if snap.completed_rounds > self.env.cfg.rounds {
+            return Err(CoreError::Snapshot(format!(
+                "snapshot has {} completed rounds, configuration runs {}",
+                snap.completed_rounds, self.env.cfg.rounds
+            )));
+        }
+        if snap.rounds.len() != snap.completed_rounds {
+            return Err(CoreError::Snapshot(format!(
+                "snapshot history has {} round records for {} completed rounds",
+                snap.rounds.len(),
+                snap.completed_rounds
+            )));
+        }
+        Ok(())
+    }
+
+    fn pool_params(&self) -> Vec<u64> {
+        self.env.pool.entries().iter().map(|e| e.params).collect()
+    }
 }
 
 #[cfg(test)]
@@ -669,6 +520,31 @@ mod tests {
         let mut s = SynthSpec::test_spec(4);
         s.input = (3, 8, 8);
         s
+    }
+
+    /// A run checkpointing every `every` rounds into `sink`.
+    fn run_checkpointed(
+        sim: &mut Simulation,
+        kind: MethodKind,
+        every: usize,
+        sink: &mut dyn SnapshotSink,
+    ) -> Result<RunResult, CoreError> {
+        let hooks = RunHooks {
+            checkpoint_every: every,
+            sink,
+            halt_after: None,
+        };
+        Ok(sim
+            .run_with(kind, &mut PerfectTransport, Some(hooks), None)?
+            .expect("no halt configured"))
+    }
+
+    /// Resumes a kind snapshot over the perfect transport.
+    fn resume(sim: &mut Simulation, snap: &ServerSnapshot) -> Result<RunResult, CoreError> {
+        let kind = snap.kind.expect("kind snapshot");
+        Ok(sim
+            .run_with(kind, &mut PerfectTransport, None, Some(snap))?
+            .expect("no halt configured"))
     }
 
     #[test]
@@ -743,9 +619,7 @@ mod tests {
             // Checkpoint every round of a second, identical run.
             let mut sink = crate::checkpoint::MemorySink::new();
             let mut sim2 = Simulation::prepare(&cfg, &spec(), Partition::Dirichlet(0.5));
-            let checked = sim2
-                .run_with_checkpoints(kind, &mut PerfectTransport, 1, &mut sink)
-                .unwrap();
+            let checked = run_checkpointed(&mut sim2, kind, 1, &mut sink).unwrap();
             assert_eq!(control, checked, "{kind}: checkpointing changed the run");
             // Final round never snapshots; every earlier round does.
             assert_eq!(sink.snapshots.len(), cfg.rounds - 1, "{kind}");
@@ -754,7 +628,7 @@ mod tests {
             // simulation; each must reproduce the control exactly.
             for snap in &sink.snapshots {
                 let mut sim3 = Simulation::prepare(&cfg, &spec(), Partition::Dirichlet(0.5));
-                let resumed = sim3.resume_from(snap).unwrap();
+                let resumed = resume(&mut sim3, snap).unwrap();
                 assert_eq!(
                     control, resumed,
                     "{kind}: resume from round {} diverged",
@@ -773,14 +647,15 @@ mod tests {
         let mut sink = crate::checkpoint::MemorySink::new();
         let mut sim2 = Simulation::prepare(&cfg, &spec(), Partition::Iid);
         let halted = sim2
-            .run_with_hooks(
+            .run_with(
                 MethodKind::AdaptiveFl,
                 &mut PerfectTransport,
-                RunHooks {
+                Some(RunHooks {
                     checkpoint_every: 0,
                     sink: &mut sink,
                     halt_after: Some(2),
-                },
+                }),
+                None,
             )
             .unwrap();
         assert!(halted.is_none(), "halt must abort the run");
@@ -788,7 +663,7 @@ mod tests {
         assert_eq!(snap.completed_rounds, 2);
 
         let mut sim3 = Simulation::prepare(&cfg, &spec(), Partition::Iid);
-        let resumed = sim3.resume_from(snap).unwrap();
+        let resumed = resume(&mut sim3, snap).unwrap();
         assert_eq!(control, resumed);
     }
 
@@ -797,32 +672,31 @@ mod tests {
         let cfg = SimConfig::quick_test(106);
         let mut sink = crate::checkpoint::MemorySink::new();
         let mut sim = Simulation::prepare(&cfg, &spec(), Partition::Iid);
-        sim.run_with_checkpoints(MethodKind::AdaptiveFl, &mut PerfectTransport, 2, &mut sink)
-            .unwrap();
+        run_checkpointed(&mut sim, MethodKind::AdaptiveFl, 2, &mut sink).unwrap();
         let snap = sink.latest().unwrap();
 
         // Wrong method.
         let mut sim2 = Simulation::prepare(&cfg, &spec(), Partition::Iid);
         let mut wrong = snap.clone();
         wrong.kind = Some(MethodKind::HeteroFl);
-        assert!(sim2.resume_from(&wrong).is_err());
+        assert!(resume(&mut sim2, &wrong).is_err());
 
         // Wrong configuration (different seed → different fingerprint).
         let other = SimConfig::quick_test(107);
         let mut sim3 = Simulation::prepare(&other, &spec(), Partition::Iid);
-        assert!(sim3.resume_from(snap).is_err());
+        assert!(resume(&mut sim3, snap).is_err());
 
         // Corrupt RNG state.
         let mut bad_rng = snap.clone();
         bad_rng.rng_words.pop();
         let mut sim4 = Simulation::prepare(&cfg, &spec(), Partition::Iid);
-        assert!(sim4.resume_from(&bad_rng).is_err());
+        assert!(resume(&mut sim4, &bad_rng).is_err());
 
         // History inconsistent with the declared progress.
         let mut bad_hist = snap.clone();
         bad_hist.rounds.pop();
         let mut sim5 = Simulation::prepare(&cfg, &spec(), Partition::Iid);
-        assert!(sim5.resume_from(&bad_hist).is_err());
+        assert!(resume(&mut sim5, &bad_hist).is_err());
     }
 
     #[test]

@@ -94,17 +94,10 @@ impl LocalTrainer {
     /// Trains the network on a client shard with plain cross-entropy
     /// (single exit); returns the mean training loss.
     ///
-    /// Optimizer buffers come from a private arena; use
-    /// [`LocalTrainer::train_with_scratch`] to share one across
-    /// sessions. The results are bit-identical either way.
-    pub fn train(&self, net: &mut Network, data: &InMemoryDataset, rng: &mut impl Rng) -> f32 {
-        self.train_with_scratch(net, data, rng, &Scratch::new())
-    }
-
-    /// [`LocalTrainer::train`] with an explicit scratch arena for the
-    /// optimizer's momentum and weight-decay buffers, so repeated
-    /// training sessions reuse them instead of reallocating per
-    /// parameter per session.
+    /// The optimizer's momentum and weight-decay buffers come from
+    /// `scratch`, so repeated training sessions reuse them instead of
+    /// reallocating per parameter per session; results are
+    /// bit-identical to a fresh arena.
     pub fn train_with_scratch(
         &self,
         net: &mut Network,
@@ -134,27 +127,8 @@ impl LocalTrainer {
     /// ScaleFL-style multi-exit local training: cross-entropy at every
     /// active exit plus self-distillation (temperature-scaled KL) from
     /// the final exit into each earlier exit. Returns the mean combined
-    /// loss.
-    pub fn train_multi_exit(
-        &self,
-        net: &mut Network,
-        data: &InMemoryDataset,
-        kd_weight: f32,
-        kd_temperature: f32,
-        rng: &mut impl Rng,
-    ) -> f32 {
-        self.train_multi_exit_with_scratch(
-            net,
-            data,
-            kd_weight,
-            kd_temperature,
-            rng,
-            &Scratch::new(),
-        )
-    }
-
-    /// [`LocalTrainer::train_multi_exit`] with an explicit scratch
-    /// arena (see [`LocalTrainer::train_with_scratch`]).
+    /// loss. Buffers come from `scratch` as in
+    /// [`LocalTrainer::train_with_scratch`].
     #[allow(clippy::too_many_arguments)]
     pub fn train_multi_exit_with_scratch(
         &self,
@@ -248,8 +222,8 @@ mod tests {
             prox_mu: 0.0,
         };
         let before = evaluate(&mut net, fed.test(), 32);
-        let loss1 = trainer.train(&mut net, fed.client(0), &mut r);
-        let loss2 = trainer.train(&mut net, fed.client(0), &mut r);
+        let loss1 = trainer.train_with_scratch(&mut net, fed.client(0), &mut r, &Scratch::new());
+        let loss2 = trainer.train_with_scratch(&mut net, fed.client(0), &mut r, &Scratch::new());
         let after = evaluate(&mut net, fed.test(), 32);
         assert!(loss2 < loss1, "loss did not decrease: {loss1} → {loss2}");
         assert!(after > before + 0.15, "accuracy {before} → {after}");
@@ -277,7 +251,14 @@ mod tests {
             batch_size: 16,
             prox_mu: 0.0,
         };
-        let loss = trainer.train_multi_exit(&mut net, fed.client(0), 0.5, 2.0, &mut r);
+        let loss = trainer.train_multi_exit_with_scratch(
+            &mut net,
+            fed.client(0),
+            0.5,
+            2.0,
+            &mut r,
+            &Scratch::new(),
+        );
         assert!(loss.is_finite());
         // Final-exit accuracy should be clearly above chance (0.25).
         let b = fed.test().full_batch();
@@ -336,7 +317,7 @@ mod prox_tests {
                 batch_size: 16,
                 prox_mu: mu,
             };
-            trainer.train(&mut net, fed.client(0), &mut r);
+            trainer.train_with_scratch(&mut net, fed.client(0), &mut r, &Scratch::new());
             net.param_map().sq_distance(&start)
         };
         let free = drift(0.0);
@@ -368,7 +349,7 @@ mod prox_tests {
                 batch_size: 8,
                 prox_mu: mu,
             };
-            trainer.train(&mut net, fed.client(0), &mut r);
+            trainer.train_with_scratch(&mut net, fed.client(0), &mut r, &Scratch::new());
             net.param_map()
         };
         assert_eq!(run(0.0), run(0.0));

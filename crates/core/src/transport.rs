@@ -1,11 +1,11 @@
 //! The client↔server exchange abstraction.
 //!
 //! Every [`FlMethod`](crate::methods::FlMethod) round is split into
-//! three phases: the method *dispatches* a batch of [`ClientJob`]s (one
-//! per selected client), a [`Transport`] *executes* them and returns
-//! the surviving uploads as [`Delivery`]s plus per-round [`CommStats`],
-//! and the method *consumes* the deliveries (aggregation, RL updates,
-//! metrics).
+//! three phases: the round skeleton *dispatches* a batch of
+//! [`ClientJob`]s (one per selected client), a [`Transport`]
+//! *executes* them and returns the surviving uploads as [`Delivery`]s
+//! plus per-round [`CommStats`], and the skeleton *consumes* the
+//! deliveries (the method's RL updates, aggregation, metrics).
 //!
 //! Two transports exist:
 //!

@@ -6,10 +6,10 @@
 
 use std::sync::Mutex;
 
-use adaptivefl_core::aggregate::{aggregate, aggregate_traced, Upload};
+use adaptivefl_core::aggregate::{aggregate, aggregate_with_scratch, Upload};
 use adaptivefl_core::trace::{Phase, TraceEvent, Tracer};
 use adaptivefl_nn::ParamMap;
-use adaptivefl_tensor::Tensor;
+use adaptivefl_tensor::{Scratch, Tensor};
 use proptest::prelude::*;
 
 fn one_param(name: &str, t: Tensor) -> ParamMap {
@@ -149,7 +149,7 @@ impl Tracer for CoverageTracer {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The coverage events `aggregate_traced` emits agree with an
+    /// The coverage events `aggregate_with_scratch` emits agree with an
     /// independent count of covered elements, and tracing leaves the
     /// aggregation result bit-identical.
     #[test]
@@ -164,7 +164,7 @@ proptest! {
         let mut untraced = traced.clone();
         let uploads = build_uploads(n, &draws);
         let tracer = CoverageTracer::default();
-        aggregate_traced(&mut traced, &uploads, &tracer, 7);
+        aggregate_with_scratch(&mut traced, &uploads, &tracer, 7, &Scratch::new());
         aggregate(&mut untraced, &uploads);
         for (a, b) in traced
             .get("w").unwrap().as_slice().iter()

@@ -20,9 +20,12 @@
 //! communication statistics match to the last bit at any thread count.
 //!
 //! [`run_or_resume`] is the one-call entry point the benchmark
-//! binaries use: continue from the newest valid snapshot in a
-//! directory if one exists, otherwise start fresh — checkpointing
-//! either way.
+//! binaries and the sweep engine use, for a method kind or an
+//! explicitly constructed method alike: continue from the newest
+//! valid snapshot in a directory if one exists, otherwise start fresh
+//! — checkpointing either way, through the one general
+//! [`Simulation::run_with`](adaptivefl_core::sim::Simulation::run_with)
+//! entry point.
 
 pub mod crc;
 pub mod format;
@@ -31,24 +34,29 @@ pub mod store;
 pub use format::{decode_snapshot, encode_snapshot, MAGIC, VERSION};
 pub use store::{SnapshotStore, EXTENSION};
 
-use adaptivefl_core::methods::MethodKind;
 use adaptivefl_core::metrics::RunResult;
-use adaptivefl_core::sim::{RunHooks, Simulation};
+use adaptivefl_core::sim::{RunHooks, RunMethod, Simulation};
 use adaptivefl_core::trace::{Phase, PhaseTimer, TraceEvent};
 use adaptivefl_core::transport::Transport;
 use adaptivefl_core::CoreError;
 
-/// Runs `kind` to completion, checkpointing into `store` every
-/// `every` rounds — resuming from the newest valid snapshot in the
-/// store if one exists (corrupt snapshots are skipped), starting
-/// fresh otherwise.
+/// Runs `method` — a [`MethodKind`](adaptivefl_core::methods::MethodKind)
+/// or an explicitly constructed method — to completion, checkpointing
+/// into `store` every `every` rounds: resuming from the newest valid
+/// snapshot in the store if one exists (corrupt snapshots are
+/// skipped), starting fresh otherwise. Loading is timed as a
+/// [`Phase::Checkpoint`] span and a resume emits one
+/// [`TraceEvent::CheckpointLoad`].
+///
+/// An explicit method must be constructed exactly as the original run
+/// constructed it; on resume its state is replaced by the snapshot's.
 ///
 /// The store directory must be dedicated to this one run: snapshots
 /// of a different method or configuration in the same directory fail
 /// resume validation with [`CoreError::Snapshot`].
 pub fn run_or_resume(
     sim: &mut Simulation,
-    kind: MethodKind,
+    method: impl Into<RunMethod>,
     transport: &mut dyn Transport,
     store: &mut SnapshotStore,
     every: usize,
@@ -68,9 +76,8 @@ pub fn run_or_resume(
         sink: store,
         halt_after: None,
     };
-    let result = match &resume_point {
-        Some((_, snap)) => sim.resume_with_hooks(snap, transport, hooks)?,
-        None => sim.run_with_hooks(kind, transport, hooks)?,
-    };
-    Ok(result.expect("no halt configured, so the run completes"))
+    let snap = resume_point.as_ref().map(|(_, snap)| snap);
+    Ok(sim
+        .run_with(method, transport, Some(hooks), snap)?
+        .expect("no halt configured, so the run completes"))
 }

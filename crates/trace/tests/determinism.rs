@@ -48,7 +48,9 @@ fn fingerprint(kind: MethodKind, tracer: Option<Arc<dyn Tracer>>, faulty: bool) 
         sim.set_tracer(t);
     }
     let result = if faulty {
-        sim.run_with_transport(kind, &mut faulty_transport())
+        sim.run_with(kind, &mut faulty_transport(), None, None)
+            .unwrap()
+            .unwrap()
     } else {
         sim.run(kind)
     };

@@ -12,6 +12,7 @@ use adaptivefl::comm::{FaultPlan, SimTransport};
 use adaptivefl::core::methods::MethodKind;
 use adaptivefl::core::metrics::RunResult;
 use adaptivefl::core::sim::{SimConfig, Simulation};
+use adaptivefl::core::transport::Transport;
 use adaptivefl::data::{Partition, SynthSpec};
 
 fn prepare() -> Simulation {
@@ -21,6 +22,15 @@ fn prepare() -> Simulation {
     cfg.rounds = 8;
     cfg.eval_every = 4;
     Simulation::prepare(&cfg, &spec, Partition::Dirichlet(0.6))
+}
+
+/// A whole AdaptiveFL run over `transport`, through the general entry
+/// point (no checkpoint hooks, no snapshot to resume from).
+fn run_adaptive(transport: &mut dyn Transport) -> RunResult {
+    prepare()
+        .run_with(MethodKind::AdaptiveFl, transport, None, None)
+        .expect("no sink or snapshot, so no error")
+        .expect("no halt, so the run completes")
 }
 
 fn report(label: &str, res: &RunResult) {
@@ -56,7 +66,7 @@ fn main() {
         ..Default::default()
     };
     let mut faulty = SimTransport::new().with_threads(4).with_faults(plan);
-    let lossy = prepare().run_with_transport(MethodKind::AdaptiveFl, &mut faulty);
+    let lossy = run_adaptive(&mut faulty);
     report("lossy link", &lossy);
 
     // Add a round deadline: uploads slower than the budget are wasted
@@ -69,14 +79,14 @@ fn main() {
         .with_threads(4)
         .with_faults(plan)
         .with_deadline(deadline);
-    let capped = prepare().run_with_transport(MethodKind::AdaptiveFl, &mut tight);
+    let capped = run_adaptive(&mut tight);
     report(&format!("deadline {:.0}ms", deadline * 1e3), &capped);
 
     // The parallel executor is deterministic: any thread count replays
     // the identical run.
     let rerun = {
         let mut t = SimTransport::new().with_threads(1).with_faults(plan);
-        prepare().run_with_transport(MethodKind::AdaptiveFl, &mut t)
+        run_adaptive(&mut t)
     };
     println!(
         "\n1-thread rerun identical to 4-thread run: {}",

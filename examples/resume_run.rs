@@ -150,7 +150,10 @@ fn main() {
 
     if args.control {
         // The uninterrupted reference run.
-        let result = prepare().run_with_transport(KIND, &mut transport());
+        let result = prepare()
+            .run_with(KIND, &mut transport(), None, None)
+            .expect("run")
+            .expect("no halt");
         emit(&fingerprint(&result), args.out.as_ref());
         return;
     }
@@ -161,14 +164,15 @@ fn main() {
         let dir = args.dir.expect("--halt-after needs --dir");
         let mut store = SnapshotStore::open(&dir).expect("opening store");
         let halted = prepare()
-            .run_with_hooks(
+            .run_with(
                 KIND,
                 &mut transport(),
-                RunHooks {
+                Some(RunHooks {
                     checkpoint_every: 5,
                     sink: &mut store,
                     halt_after: Some(halt),
-                },
+                }),
+                None,
             )
             .expect("checkpointed run");
         assert!(halted.is_none(), "run should have halted at round {halt}");
@@ -191,15 +195,19 @@ fn main() {
             snap.completed_rounds
         );
         let result = prepare()
-            .resume_with_transport(&snap, &mut transport())
-            .expect("resume");
+            .run_with(KIND, &mut transport(), None, Some(&snap))
+            .expect("resume")
+            .expect("no halt");
         emit(&fingerprint(&result), args.out.as_ref());
         return;
     }
 
     // Default: the whole story in one process.
     println!("control: {ROUNDS} rounds of {KIND} over a faulty 2-thread transport");
-    let control = prepare().run_with_transport(KIND, &mut transport());
+    let control = prepare()
+        .run_with(KIND, &mut transport(), None, None)
+        .expect("run")
+        .expect("no halt");
     let control_fp = fingerprint(&control);
 
     let dir = std::env::temp_dir().join(format!("afl-resume-demo-{}", std::process::id()));
@@ -211,14 +219,15 @@ fn main() {
         dir.display()
     );
     let halted = prepare()
-        .run_with_hooks(
+        .run_with(
             KIND,
             &mut transport(),
-            RunHooks {
+            Some(RunHooks {
                 checkpoint_every: 5,
                 sink: &mut store,
                 halt_after: Some(HALT_DEFAULT),
-            },
+            }),
+            None,
         )
         .expect("checkpointed run");
     assert!(halted.is_none());
@@ -237,8 +246,9 @@ fn main() {
         snap.completed_rounds + 1
     );
     let resumed = prepare()
-        .resume_with_transport(&snap, &mut transport())
-        .expect("resume");
+        .run_with(KIND, &mut transport(), None, Some(&snap))
+        .expect("resume")
+        .expect("no halt");
     let resumed_fp = fingerprint(&resumed);
 
     println!("\ncontrol fingerprint (last 3 lines):");

@@ -34,7 +34,9 @@ fn faulty_transport() -> SimTransport {
 }
 
 fn run_faulty(sim: &mut Simulation, kind: MethodKind) -> String {
-    sim.run_with_transport(kind, &mut faulty_transport())
+    sim.run_with(kind, &mut faulty_transport(), None, None)
+        .unwrap()
+        .unwrap()
         .fingerprint()
 }
 
