@@ -56,9 +56,7 @@ fn bench_faulty_round(c: &mut Criterion) {
                 ..Default::default()
             });
             let mut sim = Simulation::prepare(&cfg, &spec, Partition::Iid);
-            sim.run_with(MethodKind::AdaptiveFl, &mut transport, None, None)
-                .unwrap()
-                .unwrap()
+            sim.run_method_with_transport(MethodKind::AdaptiveFl, &mut transport)
         })
     });
 }

@@ -247,10 +247,7 @@ fn run_prepared(cell: &Cell, seed: u64, store_slug: &str, opts: &JobOpts) -> Run
     });
     let method = cell.run.method(sim.env());
     let result = match &opts.resume {
-        None => sim
-            .run_with(method, &mut PerfectTransport, None, None)
-            .expect("no sink or snapshot configured, so no error is possible")
-            .expect("no halt configured, so the run completes"),
+        None => sim.run_method_with_transport(method, &mut PerfectTransport),
         // Kind cells record their kind in snapshots, explicit methods
         // none — the layout of the single-seed bins, so old resume
         // directories stay valid.

@@ -19,7 +19,7 @@
 //! [`PerfectTransport`](adaptivefl_core::PerfectTransport), which
 //! reproduces the pre-transport simulation bit for bit; `SimTransport`
 //! is opt-in via
-//! [`Simulation::run_with`](adaptivefl_core::sim::Simulation::run_with).
+//! [`Simulation::run_method_with_transport`](adaptivefl_core::sim::Simulation::run_method_with_transport).
 
 pub mod executor;
 pub mod faults;

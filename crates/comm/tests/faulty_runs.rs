@@ -6,10 +6,9 @@
 
 use adaptivefl_comm::{FaultPlan, SimTransport};
 use adaptivefl_core::methods::{AdaptiveFl, FlMethod, MethodKind};
-use adaptivefl_core::metrics::RunResult;
 use adaptivefl_core::select::SelectionStrategy;
 use adaptivefl_core::sim::{SimConfig, Simulation};
-use adaptivefl_core::{PerfectTransport, Transport};
+use adaptivefl_core::PerfectTransport;
 use adaptivefl_data::{Partition, SynthSpec};
 
 fn spec() -> SynthSpec {
@@ -24,14 +23,6 @@ fn prepare(seed: u64) -> Simulation {
     Simulation::prepare(&cfg, &spec(), Partition::Iid)
 }
 
-/// A whole AdaptiveFL run over `transport`.
-fn run_adaptive(seed: u64, transport: &mut dyn Transport) -> RunResult {
-    prepare(seed)
-        .run_with(MethodKind::AdaptiveFl, transport, None, None)
-        .unwrap()
-        .unwrap()
-}
-
 #[test]
 fn upload_drops_degrade_gracefully() {
     let clean = prepare(300).run(MethodKind::AdaptiveFl);
@@ -39,7 +30,8 @@ fn upload_drops_degrade_gracefully() {
         upload_drop: 0.3,
         ..Default::default()
     });
-    let faulty = run_adaptive(300, &mut faulty_transport);
+    let faulty =
+        prepare(300).run_method_with_transport(MethodKind::AdaptiveFl, &mut faulty_transport);
 
     // The run completes every round and the faults are observable.
     assert_eq!(faulty.rounds.len(), 6);
@@ -124,7 +116,7 @@ fn runs_are_deterministic_across_thread_counts() {
     };
     let run = |threads: usize| {
         let mut transport = SimTransport::new().with_threads(threads).with_faults(plan);
-        run_adaptive(302, &mut transport)
+        prepare(302).run_method_with_transport(MethodKind::AdaptiveFl, &mut transport)
     };
     let one = run(1);
     for threads in [2, 8] {
@@ -137,7 +129,7 @@ fn deadline_misses_count_and_cap_round_time() {
     // An absurdly tight deadline: every upload is late, the round time
     // is capped at the deadline, and nothing is aggregated.
     let mut transport = SimTransport::new().with_deadline(1e-9);
-    let res = run_adaptive(303, &mut transport);
+    let res = prepare(303).run_method_with_transport(MethodKind::AdaptiveFl, &mut transport);
     let comm = res.total_comm();
     assert!(
         comm.deadline_misses > 0,
@@ -161,8 +153,10 @@ fn clean_sim_transport_matches_perfect_bytes() {
     // round: from round two on the two transports legitimately diverge,
     // because SimTransport trains clients on derived per-client RNG
     // streams while PerfectTransport preserves the legacy shared one.
-    let perfect = run_adaptive(304, &mut PerfectTransport);
-    let sim = run_adaptive(304, &mut SimTransport::new());
+    let perfect =
+        prepare(304).run_method_with_transport(MethodKind::AdaptiveFl, &mut PerfectTransport);
+    let sim =
+        prepare(304).run_method_with_transport(MethodKind::AdaptiveFl, &mut SimTransport::new());
     let (p, s) = (perfect.rounds[0].comm, sim.rounds[0].comm);
     assert_eq!(p.bytes_down, s.bytes_down);
     assert!(

@@ -56,18 +56,13 @@ pub struct RoundPlan {
 }
 
 /// The loss a client minimises locally.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Objective {
     /// Plain cross-entropy at the single exit.
     CrossEntropy,
     /// Cross-entropy at every exit plus self-distillation from the
     /// final exit (ScaleFL).
-    MultiExit {
-        /// Distillation weight of the early exits.
-        kd_weight: f32,
-        /// Distillation temperature.
-        kd_temperature: f32,
-    },
+    MultiExit,
 }
 
 /// The model one client trains, as its method decides it.
@@ -237,6 +232,12 @@ pub trait FlMethod: Send + Sync + Checkpointable {
     }
 }
 
+/// Distillation weight of the early exits toward the final exit
+/// ([`Objective::MultiExit`]).
+const KD_WEIGHT: f32 = 0.5;
+/// Distillation temperature ([`Objective::MultiExit`]).
+const KD_TEMPERATURE: f32 = 2.0;
+
 /// The client-side closure of one job: the method's local model, then
 /// build → load → train, timed as the `ClientTrain` phase.
 fn client_job<'a, M: FlMethod + ?Sized>(
@@ -263,14 +264,11 @@ fn client_job<'a, M: FlMethod + ?Sized>(
             Objective::CrossEntropy => {
                 trainer.train_with_scratch(&mut net, data, rng, &env.scratch)
             }
-            Objective::MultiExit {
-                kd_weight,
-                kd_temperature,
-            } => trainer.train_multi_exit_with_scratch(
+            Objective::MultiExit => trainer.train_multi_exit_with_scratch(
                 &mut net,
                 data,
-                kd_weight,
-                kd_temperature,
+                KD_WEIGHT,
+                KD_TEMPERATURE,
                 rng,
                 &env.scratch,
             ),

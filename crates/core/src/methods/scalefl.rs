@@ -58,10 +58,7 @@ impl StaticLevels {
             name: "ScaleFL",
             global,
             levels,
-            objective: Objective::MultiExit {
-                kd_weight: 0.5,
-                kd_temperature: 2.0,
-            },
+            objective: Objective::MultiExit,
         }
     }
 }

@@ -308,18 +308,16 @@ impl Simulation {
     /// [`PerfectTransport`] (lossless sequential link), evaluating
     /// every `cfg.eval_every` rounds and after the final round.
     pub fn run(&mut self, kind: MethodKind) -> RunResult {
-        self.run_with(kind, &mut PerfectTransport, None, None)
-            .expect("no sink or snapshot configured, so no error is possible")
-            .expect("no halt configured, so the run completes")
+        self.run_method_with_transport(kind, &mut PerfectTransport)
     }
 
-    /// Runs an explicitly constructed method (e.g. an AdaptiveFL
-    /// instance with non-default RL settings for ablations) over an
-    /// explicit transport (e.g. the faulty parallel `SimTransport` of
-    /// `adaptivefl-comm`).
+    /// Runs `method` — a [`MethodKind`] or an explicitly constructed
+    /// method (e.g. an AdaptiveFL instance with non-default RL settings
+    /// for ablations) — over an explicit transport (e.g. the faulty
+    /// parallel `SimTransport` of `adaptivefl-comm`).
     pub fn run_method_with_transport(
         &mut self,
-        method: Box<dyn FlMethod>,
+        method: impl Into<RunMethod>,
         transport: &mut dyn Transport,
     ) -> RunResult {
         self.run_with(method, transport, None, None)

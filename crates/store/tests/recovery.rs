@@ -97,10 +97,7 @@ fn all_kinds() -> [MethodKind; 7] {
 /// Checkpoint at round 2 via the disk store, then resume from the file
 /// in a fresh simulation; the result must equal the uninterrupted run.
 fn assert_recovers(kind: MethodKind, make_transport: &dyn Fn() -> Box<dyn Transport>, tag: &str) {
-    let control = prepare(700)
-        .run_with(kind, &mut *make_transport(), None, None)
-        .unwrap()
-        .unwrap();
+    let control = prepare(700).run_method_with_transport(kind, &mut *make_transport());
 
     let dir = temp_dir(&format!("{tag}-{kind}"));
     let mut store = SnapshotStore::open(&dir).unwrap();
@@ -144,10 +141,7 @@ fn faulty_transport_resume_is_thread_count_invariant() {
     // threads: all identical (the executor derives client RNG and
     // faults from (seed, round, client), not from scheduling).
     let kind = MethodKind::AdaptiveFl;
-    let control = prepare(701)
-        .run_with(kind, &mut faulty_transport(), None, None)
-        .unwrap()
-        .unwrap();
+    let control = prepare(701).run_method_with_transport(kind, &mut faulty_transport());
 
     let dir = temp_dir("threads");
     let mut store = SnapshotStore::open(&dir).unwrap();
@@ -171,10 +165,7 @@ fn faulty_transport_resume_is_thread_count_invariant() {
 #[test]
 fn run_or_resume_restarts_and_finishes_after_a_crash() {
     let kind = MethodKind::AdaptiveFl;
-    let control = prepare(702)
-        .run_with(kind, &mut PerfectTransport, None, None)
-        .unwrap()
-        .unwrap();
+    let control = prepare(702).run_method_with_transport(kind, &mut PerfectTransport);
 
     let dir = temp_dir("run-or-resume");
     // "Process 1" crashes after 3 rounds (checkpointing every round).
@@ -207,10 +198,7 @@ fn run_or_resume_restarts_and_finishes_after_a_crash() {
 #[test]
 fn corrupt_newest_snapshot_falls_back_and_still_matches() {
     let kind = MethodKind::HeteroFl;
-    let control = prepare(703)
-        .run_with(kind, &mut PerfectTransport, None, None)
-        .unwrap()
-        .unwrap();
+    let control = prepare(703).run_method_with_transport(kind, &mut PerfectTransport);
 
     let dir = temp_dir("corrupt-fallback");
     let mut store = SnapshotStore::open(&dir).unwrap();

@@ -48,9 +48,7 @@ fn fingerprint(kind: MethodKind, tracer: Option<Arc<dyn Tracer>>, faulty: bool) 
         sim.set_tracer(t);
     }
     let result = if faulty {
-        sim.run_with(kind, &mut faulty_transport(), None, None)
-            .unwrap()
-            .unwrap()
+        sim.run_method_with_transport(kind, &mut faulty_transport())
     } else {
         sim.run(kind)
     };

@@ -12,7 +12,6 @@ use adaptivefl::comm::{FaultPlan, SimTransport};
 use adaptivefl::core::methods::MethodKind;
 use adaptivefl::core::metrics::RunResult;
 use adaptivefl::core::sim::{SimConfig, Simulation};
-use adaptivefl::core::transport::Transport;
 use adaptivefl::data::{Partition, SynthSpec};
 
 fn prepare() -> Simulation {
@@ -22,15 +21,6 @@ fn prepare() -> Simulation {
     cfg.rounds = 8;
     cfg.eval_every = 4;
     Simulation::prepare(&cfg, &spec, Partition::Dirichlet(0.6))
-}
-
-/// A whole AdaptiveFL run over `transport`, through the general entry
-/// point (no checkpoint hooks, no snapshot to resume from).
-fn run_adaptive(transport: &mut dyn Transport) -> RunResult {
-    prepare()
-        .run_with(MethodKind::AdaptiveFl, transport, None, None)
-        .expect("no sink or snapshot, so no error")
-        .expect("no halt, so the run completes")
 }
 
 fn report(label: &str, res: &RunResult) {
@@ -66,7 +56,7 @@ fn main() {
         ..Default::default()
     };
     let mut faulty = SimTransport::new().with_threads(4).with_faults(plan);
-    let lossy = run_adaptive(&mut faulty);
+    let lossy = prepare().run_method_with_transport(MethodKind::AdaptiveFl, &mut faulty);
     report("lossy link", &lossy);
 
     // Add a round deadline: uploads slower than the budget are wasted
@@ -79,14 +69,14 @@ fn main() {
         .with_threads(4)
         .with_faults(plan)
         .with_deadline(deadline);
-    let capped = run_adaptive(&mut tight);
+    let capped = prepare().run_method_with_transport(MethodKind::AdaptiveFl, &mut tight);
     report(&format!("deadline {:.0}ms", deadline * 1e3), &capped);
 
     // The parallel executor is deterministic: any thread count replays
     // the identical run.
     let rerun = {
         let mut t = SimTransport::new().with_threads(1).with_faults(plan);
-        run_adaptive(&mut t)
+        prepare().run_method_with_transport(MethodKind::AdaptiveFl, &mut t)
     };
     println!(
         "\n1-thread rerun identical to 4-thread run: {}",

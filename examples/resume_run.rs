@@ -150,10 +150,7 @@ fn main() {
 
     if args.control {
         // The uninterrupted reference run.
-        let result = prepare()
-            .run_with(KIND, &mut transport(), None, None)
-            .expect("run")
-            .expect("no halt");
+        let result = prepare().run_method_with_transport(KIND, &mut transport());
         emit(&fingerprint(&result), args.out.as_ref());
         return;
     }
@@ -204,10 +201,7 @@ fn main() {
 
     // Default: the whole story in one process.
     println!("control: {ROUNDS} rounds of {KIND} over a faulty 2-thread transport");
-    let control = prepare()
-        .run_with(KIND, &mut transport(), None, None)
-        .expect("run")
-        .expect("no halt");
+    let control = prepare().run_method_with_transport(KIND, &mut transport());
     let control_fp = fingerprint(&control);
 
     let dir = std::env::temp_dir().join(format!("afl-resume-demo-{}", std::process::id()));

@@ -103,9 +103,7 @@ fn goldens_match_perfect_transport() {
 fn goldens_match_faulty_transport() {
     for kind in all_kinds() {
         let fp = prepare()
-            .run_with(kind, &mut faulty_transport(), None, None)
-            .unwrap()
-            .unwrap()
+            .run_method_with_transport(kind, &mut faulty_transport())
             .fingerprint();
         check_golden(kind, "faulty", &fp);
     }

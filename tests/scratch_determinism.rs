@@ -34,9 +34,7 @@ fn faulty_transport() -> SimTransport {
 }
 
 fn run_faulty(sim: &mut Simulation, kind: MethodKind) -> String {
-    sim.run_with(kind, &mut faulty_transport(), None, None)
-        .unwrap()
-        .unwrap()
+    sim.run_method_with_transport(kind, &mut faulty_transport())
         .fingerprint()
 }
 
