@@ -3,20 +3,21 @@
 //! `--resume <dir>` it also reads the newest valid checkpoint of every
 //! run under `<dir>` and reports the persisted histories (method,
 //! completed rounds, best accuracy, communication waste). With
-//! `--sweep <dir>` (default `results/sweep` when it exists) it adds
-//! cross-seed mean±95 % CI tables and the statistical verdict for
-//! every paper claim the sweep covered.
+//! `--sweep <dir>` (default `results/sweep`, or `results/sweep-full`
+//! with `--full`, when it exists) it adds cross-seed mean±95 % CI
+//! tables and the statistical verdict for every paper claim the sweep
+//! covered.
 //!
 //! ```text
 //! cargo run --release -p adaptivefl-bench --bin summarize \
-//!     [--resume <dir>] [--sweep <dir>]
+//!     [--full] [--resume <dir>] [--sweep <dir>]
 //! ```
 
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use adaptivefl_bench::sweep::{evaluate_claims, read_records, summarize_cells};
+use adaptivefl_bench::sweep::{default_out, evaluate_claims, read_records, summarize_cells};
 use adaptivefl_bench::{results_dir, Args};
 use adaptivefl_core::metrics::RunResult;
 use adaptivefl_store::SnapshotStore;
@@ -145,13 +146,16 @@ fn main() {
         }
     }
     let dir = results_dir();
-    // Default to results/sweep when it exists, so a plain `summarize`
-    // after a sweep picks the statistics up without extra flags. The
-    // label keeps the committed report free of absolute paths.
-    let mut sweep_label = String::from("results/sweep");
+    // Default to the sweep's own default directory when it exists, so
+    // a plain `summarize` after a sweep picks the statistics up without
+    // extra flags. The label keeps the committed report free of
+    // absolute paths.
+    let default_sweep = default_out(args.full);
+    let mut sweep_label = default_sweep.display().to_string();
+    let default_sweep = dir.join("..").join(default_sweep);
     match &sweep_dir {
         Some(d) => sweep_label = d.display().to_string(),
-        None if dir.join("sweep").is_dir() => sweep_dir = Some(dir.join("sweep")),
+        None if default_sweep.is_dir() => sweep_dir = Some(default_sweep),
         None => {}
     }
     let mut out = String::from("# AdaptiveFL reproduction — results summary\n");

@@ -1,4 +1,5 @@
-//! Parallel multi-seed sweep over the experiment grids, with
+//! Runs the experiment grids — every table and figure of the paper
+//! except the analytic Table 1 — over one or more seeds, with
 //! statistical aggregation and machine-readable verdicts.
 //!
 //! ```text
@@ -11,7 +12,8 @@
 //!
 //! Runs `cells × seeds` fully isolated jobs across `--jobs` worker
 //! threads (hardware default), writing one record per job under
-//! `<out>/<slug>/<seed>.json` (default `results/sweep/`), then
+//! `<out>/<slug>/<seed>.json` (default `results/sweep/`, or
+//! `results/sweep-full/` with `--full`), then
 //! aggregates mean ± 95 % CI per cell into `<out>/stats.json` and
 //! re-evaluates every paper claim as a sign-test verdict in
 //! `<out>/verdicts.json`. Jobs already recorded are skipped, so an
@@ -24,14 +26,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use adaptivefl_bench::sweep::io::{read_records, record_path, write_record};
 use adaptivefl_bench::sweep::{
-    evaluate_claims, grids, run_parallel, summarize_cells, Cell, CellRecord, JobOpts, VerdictsFile,
+    default_out, evaluate_claims, grids, run_parallel, summarize_cells, Cell, CellRecord, JobOpts,
+    VerdictsFile,
 };
 use adaptivefl_bench::{print_table, Args};
 
 struct SweepFlags {
     tiny: bool,
     experiments: Option<Vec<String>>,
-    out: PathBuf,
+    out: Option<PathBuf>,
     check: Option<PathBuf>,
 }
 
@@ -39,7 +42,7 @@ fn parse_sweep_flags(leftovers: Vec<String>) -> SweepFlags {
     let mut flags = SweepFlags {
         tiny: false,
         experiments: None,
-        out: PathBuf::from("results/sweep"),
+        out: None,
         check: None,
     };
     let mut it = leftovers.into_iter();
@@ -57,7 +60,7 @@ fn parse_sweep_flags(leftovers: Vec<String>) -> SweepFlags {
                         .collect(),
                 );
             }
-            "--out" => flags.out = PathBuf::from(it.next().expect("--out needs a directory")),
+            "--out" => flags.out = Some(PathBuf::from(it.next().expect("--out needs a directory"))),
             "--check" => {
                 flags.check = Some(PathBuf::from(it.next().expect("--check needs a file")))
             }
@@ -109,6 +112,7 @@ fn main() -> ExitCode {
     if let Some(path) = &flags.check {
         return check_verdicts(path);
     }
+    let out = flags.out.unwrap_or_else(|| default_out(args.full));
 
     let cells: Vec<Cell> = if flags.tiny {
         grids::tiny(args.seed)
@@ -135,7 +139,7 @@ fn main() -> ExitCode {
     let jobs: Vec<(&Cell, u64)> = cells
         .iter()
         .flat_map(|c| args.seeds.iter().map(move |s| (c, *s)))
-        .filter(|(c, s)| !record_path(&flags.out, &c.slug, *s).exists())
+        .filter(|(c, s)| !record_path(&out, &c.slug, *s).exists())
         .collect();
     let skipped = cells.len() * args.seeds.len() - jobs.len();
     let threads = args
@@ -148,7 +152,7 @@ fn main() -> ExitCode {
         jobs.len(),
         skipped,
         threads,
-        flags.out.display()
+        out.display()
     );
     if jobs.is_empty() {
         println!("all records present; skipping straight to aggregation");
@@ -163,7 +167,7 @@ fn main() -> ExitCode {
     run_parallel(&jobs, threads, |_, (cell, seed)| {
         let result = cell.execute(*seed, &opts);
         let record = CellRecord::new(cell, *seed, &result);
-        let path = write_record(&flags.out, &record).expect("write sweep record");
+        let path = write_record(&out, &record).expect("write sweep record");
         let n = finished.fetch_add(1, Ordering::Relaxed) + 1;
         println!(
             "[{n}/{total}] {} s{seed}: full {:.3} avg {:.3} -> {}",
@@ -176,9 +180,9 @@ fn main() -> ExitCode {
 
     // Aggregate everything recorded under the out dir (this run plus
     // any earlier partial runs).
-    let records = read_records(&flags.out).expect("read sweep records");
+    let records = read_records(&out).expect("read sweep records");
     if records.is_empty() {
-        eprintln!("no records under {}", flags.out.display());
+        eprintln!("no records under {}", out.display());
         return ExitCode::FAILURE;
     }
     let summaries = summarize_cells(&records);
@@ -210,7 +214,7 @@ fn main() -> ExitCode {
         );
     }
 
-    let stats_path = flags.out.join("stats.json");
+    let stats_path = out.join("stats.json");
     std::fs::write(
         &stats_path,
         serde_json::to_string_pretty(&summaries).expect("serialise stats"),
@@ -219,7 +223,7 @@ fn main() -> ExitCode {
     println!("[wrote {}]", stats_path.display());
 
     let verdicts = evaluate_claims(&records);
-    let verdicts_path = flags.out.join("verdicts.json");
+    let verdicts_path = out.join("verdicts.json");
     std::fs::write(
         &verdicts_path,
         serde_json::to_string_pretty(&verdicts).expect("serialise verdicts"),

@@ -1,5 +1,5 @@
 //! Renders human-readable reports from `.jsonl` traces produced by
-//! the experiment binaries' `--trace <dir>` flag.
+//! the `sweep` binary's `--trace <dir>` flag.
 //!
 //! ```text
 //! trace_report <file-or-dir> [more files or dirs...] [--merge]

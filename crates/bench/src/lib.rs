@@ -1,40 +1,37 @@
-//! Shared experiment harness for the table/figure reproduction
-//! binaries.
-//!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper: it prints the paper-shaped rows to stdout and writes
-//! machine-readable JSON/CSV records under `results/`.
-//!
-//! All binaries accept `--full` for a larger (slower) configuration,
-//! `--seed <n>` to change the master seed, `--resume <dir>` to
-//! checkpoint every run into per-run subdirectories of `<dir>` and
-//! continue interrupted runs from their newest valid snapshot, and
-//! `--trace <dir>` to stream one `.jsonl` trace per run into `<dir>`
-//! (render them with the `trace_report` bin); the default fast mode is
-//! calibrated for a single CPU core.
+//! Shared experiment harness for the table/figure reproduction.
 //!
 //! Each experiment's grid of runs is exposed as data by
-//! [`sweep::grids`], and the `sweep` binary runs any subset of the
-//! grids as `cells × seeds` parallel jobs with statistical aggregation
-//! (see the [`sweep`] module).
+//! [`sweep::grids`], and the `sweep` binary is the one driver that
+//! runs them: any subset of the grids as `cells × seeds` parallel
+//! jobs, one JSON record per job, with statistical aggregation (see
+//! the [`sweep`] module). `sweep --experiments fig3` at the default
+//! seed is the single-seed run of Figure 3. Table 1 is analytic and
+//! has its own `table1` binary; `summarize` renders everything under
+//! `results/` into one report.
+//!
+//! The shared flags ([`Args`]) are `--full` for a larger (slower)
+//! configuration, `--seed <n>` / `--seeds <n|a,b,c>` for the seeds,
+//! `--jobs <n>` for worker threads, `--resume <dir>` to checkpoint
+//! every job into its own subdirectory of `<dir>` and continue
+//! interrupted jobs from their newest valid snapshot, and `--trace
+//! <dir>` to stream one `.jsonl` trace per job into `<dir>` (render
+//! them with the `trace_report` bin); the default fast mode is
+//! calibrated for a single CPU core.
 
 pub mod sweep;
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use adaptivefl_core::sim::SimConfig;
 use adaptivefl_data::SynthSpec;
 use adaptivefl_models::ModelConfig;
-use adaptivefl_trace::JsonlTracer;
 use serde::Serialize;
 
 /// Rounds between checkpoints when `--resume` is active.
 pub const CHECKPOINT_EVERY: usize = 5;
 
-/// Command-line options shared by every experiment binary — one
-/// parser for the whole suite, so no bin hand-rolls its own flag loop.
+/// Command-line options shared by `sweep` and `summarize`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Args {
     /// Larger, slower configuration (more rounds/samples).
@@ -45,7 +42,7 @@ pub struct Args {
     /// `--seeds a,b,c` is an explicit list). Defaults to `[seed]`.
     pub seeds: Vec<u64>,
     /// Parallel sweep jobs (`--jobs <n>`); `None` lets the sweep
-    /// engine pick the hardware default. Single-run bins ignore it.
+    /// engine pick the hardware default.
     pub jobs: Option<usize>,
     /// Checkpoint directory: every run checkpoints into its own
     /// subdirectory and resumes from it after an interruption.
@@ -69,18 +66,8 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Parses the shared flags (`--full`, `--seed <n>`, `--seeds
+    /// Consumes the shared flags (`--full`, `--seed <n>`, `--seeds
     /// <n|a,b,c>`, `--jobs <n>`, `--resume <dir>`, `--trace <dir>`)
-    /// from `std::env::args`, warning about anything unrecognised.
-    pub fn parse() -> Self {
-        let (args, rest) = Self::parse_from(std::env::args().skip(1));
-        for a in rest {
-            eprintln!("ignoring unknown argument {a}");
-        }
-        args
-    }
-
-    /// The testable core of [`Args::parse`]: consumes the shared flags
     /// and returns everything it did not recognise (binary-specific
     /// flags like the sweep's `--out`) in input order.
     ///
@@ -136,7 +123,8 @@ impl Args {
 ///
 /// # Panics
 ///
-/// Panics on an empty list, a zero count, or unparseable integers.
+/// Panics on an empty list, a repeated seed, a zero count, or
+/// unparseable integers.
 fn parse_seed_spec(spec: &str, base: u64) -> Vec<u64> {
     if spec.contains(',') {
         let seeds: Vec<u64> = spec
@@ -145,6 +133,9 @@ fn parse_seed_spec(spec: &str, base: u64) -> Vec<u64> {
             .map(|s| s.trim().parse().expect("--seeds list needs integers"))
             .collect();
         assert!(!seeds.is_empty(), "--seeds list must not be empty");
+        for (i, s) in seeds.iter().enumerate() {
+            assert!(!seeds[..i].contains(s), "--seeds list repeats seed {s}");
+        }
         seeds
     } else {
         let n: u64 = spec.parse().expect("--seeds needs a count or a,b,c list");
@@ -167,17 +158,6 @@ pub fn sanitize_slug(slug: &str) -> String {
         .collect()
 }
 
-pub(crate) fn finish_trace(tracer: Option<Arc<JsonlTracer>>) {
-    if let Some(t) = tracer {
-        t.flush().expect("flushing trace file");
-        if t.had_errors() {
-            eprintln!("warning: trace writes to {} failed", t.path().display());
-        } else {
-            println!("[traced {}]", t.path().display());
-        }
-    }
-}
-
 /// The `results/` directory at the workspace root (created on demand).
 pub fn results_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
@@ -193,19 +173,6 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     println!("[wrote {}]", path.display());
 }
 
-/// Writes CSV rows under `results/`.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) {
-    let path = results_dir().join(format!("{name}.csv"));
-    let mut body = String::from(header);
-    body.push('\n');
-    for r in rows {
-        body.push_str(r);
-        body.push('\n');
-    }
-    fs::write(&path, body).expect("write csv file");
-    println!("[wrote {}]", path.display());
-}
-
 /// Prints a fixed-width table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
@@ -216,11 +183,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
         let cells: Vec<String> = row.iter().map(|c| format!("{c:>width$}")).collect();
         println!("{}", cells.join(" "));
     }
-}
-
-/// Formats a fraction as a percentage with one decimal.
-pub fn pct(x: f32) -> String {
-    format!("{:.1}", 100.0 * x)
 }
 
 /// The reduced-scale input used by all training experiments.
@@ -295,15 +257,9 @@ pub fn paper_models(
 
 /// The standard experiment configuration: the paper's protocol (100
 /// clients, 10 % participation, 4:3:3 fleet, uncertain resources) at
-/// reduced scale; `--full` raises rounds and data volume. `hard`
-/// doubles the round budget for the many-class tasks (SynCIFAR-100,
+/// reduced scale; `full` raises rounds and data volume. `hard`
+/// raises the round budget for the many-class tasks (SynCIFAR-100,
 /// SynFEMNIST), which need longer to separate methods.
-pub fn experiment_cfg(model: ModelConfig, args: &Args, hard: bool) -> SimConfig {
-    experiment_cfg_for(model, args.full, args.seed, hard)
-}
-
-/// [`experiment_cfg`] with the knobs spelled out — the form the sweep
-/// grids use (they have no [`Args`]).
 pub fn experiment_cfg_for(model: ModelConfig, full: bool, seed: u64, hard: bool) -> SimConfig {
     let mut cfg = SimConfig::fast(model, seed);
     if full {
@@ -335,23 +291,8 @@ mod tests {
     fn experiment_cfg_scales_with_full() {
         let spec = syn_cifar10();
         let [(_, m), _] = paper_models(spec.classes, spec.input);
-        let fast = experiment_cfg(
-            m,
-            &Args {
-                seed: 1,
-                ..Args::default()
-            },
-            false,
-        );
-        let full = experiment_cfg(
-            m,
-            &Args {
-                full: true,
-                seed: 1,
-                ..Args::default()
-            },
-            true,
-        );
+        let fast = experiment_cfg_for(m, false, 1, false);
+        let full = experiment_cfg_for(m, true, 1, true);
         assert!(full.rounds > fast.rounds);
         assert!(full.samples_per_client > fast.samples_per_client);
     }
@@ -416,14 +357,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--jobs")]
-    fn args_rejects_zero_jobs() {
-        parse(&["--jobs", "0"]);
+    #[should_panic(expected = "--seeds list repeats seed 7")]
+    fn args_rejects_duplicate_seeds() {
+        parse(&["--seeds", "7,7"]);
     }
 
     #[test]
-    fn pct_formats() {
-        assert_eq!(pct(0.8314), "83.1");
+    #[should_panic(expected = "--jobs")]
+    fn args_rejects_zero_jobs() {
+        parse(&["--jobs", "0"]);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use adaptivefl_models::{ModelConfig, ModelKind};
 use adaptivefl_store::{run_or_resume, SnapshotStore};
 use adaptivefl_trace::JsonlTracer;
 
-use crate::{finish_trace, sanitize_slug, Args, CHECKPOINT_EVERY};
+use crate::{sanitize_slug, CHECKPOINT_EVERY};
 
 /// How a cell instantiates its method.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,7 +37,7 @@ impl CellRun {
         }
     }
 
-    /// The method to run, built exactly as the original bins did.
+    /// The method to run.
     pub fn method(&self, env: &Env) -> RunMethod {
         match self {
             CellRun::Kind(k) => RunMethod::Kind(*k),
@@ -192,7 +192,40 @@ impl Cell {
     /// `<slug>-s<seed>`.
     pub fn execute(&self, seed: u64, opts: &JobOpts) -> RunResult {
         let store_slug = format!("{}-s{seed}", self.slug);
-        run_prepared(self, seed, &store_slug, opts)
+        let mut sim = self.prepare(seed);
+        let tracer = opts.trace.as_ref().map(|dir| {
+            let path = dir.join(format!("{store_slug}.jsonl"));
+            let t = Arc::new(JsonlTracer::create(&path).expect("creating trace file"));
+            sim.set_tracer(Arc::clone(&t) as Arc<dyn adaptivefl_core::trace::Tracer>);
+            t
+        });
+        let method = self.run.method(sim.env());
+        let result = match &opts.resume {
+            None => sim.run_method_with_transport(method, &mut PerfectTransport),
+            // Kind cells record their kind in snapshots, explicit
+            // methods none, so existing checkpoint directories resume.
+            Some(dir) => {
+                let mut store =
+                    SnapshotStore::open(dir.join(&store_slug)).expect("opening checkpoint store");
+                run_or_resume(
+                    &mut sim,
+                    method,
+                    &mut PerfectTransport,
+                    &mut store,
+                    CHECKPOINT_EVERY,
+                )
+                .expect("checkpointed run")
+            }
+        };
+        if let Some(t) = tracer {
+            t.flush().expect("flushing trace file");
+            if t.had_errors() {
+                eprintln!("warning: trace writes to {} failed", t.path().display());
+            } else {
+                println!("[traced {}]", t.path().display());
+            }
+        }
+        result
     }
 
     /// A miniature copy for smoke tests and CI: TinyCnn at the cell's
@@ -224,48 +257,6 @@ impl Cell {
         self.cfg.test_samples = 50;
         self
     }
-}
-
-/// Runs a cell the way the original single-seed bins do: at the
-/// grid's base seed, with `--resume`/`--trace` artifacts named by the
-/// cell slug alone (no seed suffix), matching the pre-sweep layout.
-pub fn run_cell_inline(cell: &Cell, args: &Args) -> RunResult {
-    let opts = JobOpts {
-        resume: args.resume.clone(),
-        trace: args.trace.clone(),
-    };
-    run_prepared(cell, cell.cfg.seed, &cell.slug, &opts)
-}
-
-fn run_prepared(cell: &Cell, seed: u64, store_slug: &str, opts: &JobOpts) -> RunResult {
-    let mut sim = cell.prepare(seed);
-    let tracer = opts.trace.as_ref().map(|dir| {
-        let path = dir.join(format!("{store_slug}.jsonl"));
-        let t = Arc::new(JsonlTracer::create(&path).expect("creating trace file"));
-        sim.set_tracer(Arc::clone(&t) as Arc<dyn adaptivefl_core::trace::Tracer>);
-        t
-    });
-    let method = cell.run.method(sim.env());
-    let result = match &opts.resume {
-        None => sim.run_method_with_transport(method, &mut PerfectTransport),
-        // Kind cells record their kind in snapshots, explicit methods
-        // none — the layout of the single-seed bins, so old resume
-        // directories stay valid.
-        Some(dir) => {
-            let mut store =
-                SnapshotStore::open(dir.join(store_slug)).expect("opening checkpoint store");
-            run_or_resume(
-                &mut sim,
-                method,
-                &mut PerfectTransport,
-                &mut store,
-                CHECKPOINT_EVERY,
-            )
-            .expect("checkpointed run")
-        }
-    };
-    finish_trace(tracer);
-    result
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! laid out as `<root>/<slug>/<seed>.json`.
 
 use std::fs;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use super::record::CellRecord;
@@ -15,12 +15,22 @@ pub fn record_path(root: &Path, slug: &str, seed: u64) -> PathBuf {
 /// Writes one record (creating `<root>/<slug>/` on demand). The file
 /// content is a pure function of the record — no timestamps — so
 /// re-running a sweep reproduces it byte-for-byte.
+///
+/// The write goes to a sibling `<seed>.json.tmp` that is synced and
+/// renamed into place, so a sweep killed mid-write never leaves a truncated
+/// `<seed>.json` that a rerun would count as done; a stray `.tmp` is
+/// neither read nor counted as a record and is overwritten by the
+/// next attempt.
 pub fn write_record(root: &Path, record: &CellRecord) -> io::Result<PathBuf> {
     let path = record_path(root, &record.slug, record.seed);
     fs::create_dir_all(path.parent().expect("record path has a parent"))?;
     let body = serde_json::to_string_pretty(record)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    fs::write(&path, body)?;
+    let tmp = path.with_extension("json.tmp");
+    let mut f = fs::File::create(&tmp)?;
+    f.write_all(body.as_bytes())?;
+    f.sync_all()?;
+    fs::rename(&tmp, &path)?;
     Ok(path)
 }
 
@@ -133,6 +143,20 @@ mod tests {
     fn missing_root_reads_empty() {
         let root = tmp_root("missing");
         assert!(read_records(&root).unwrap().is_empty());
+    }
+
+    #[test]
+    fn stray_temp_file_is_not_a_record() {
+        let root = tmp_root("torn");
+        fs::create_dir_all(root.join("x")).unwrap();
+        // What a sweep killed between write and rename leaves behind.
+        fs::write(root.join("x/1.json.tmp"), "{\"version\": 1, \"expe").unwrap();
+        assert!(!record_path(&root, "x", 1).exists());
+        assert!(read_records(&root).unwrap().is_empty());
+        // The rerun's write replaces it with the real record.
+        write_record(&root, &rec("x", 1)).unwrap();
+        assert_eq!(read_records(&root).unwrap(), vec![rec("x", 1)]);
+        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

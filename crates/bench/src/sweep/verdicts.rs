@@ -28,7 +28,7 @@ pub const VERDICTS_VERSION: u32 = 1;
 pub const ALPHA: f64 = 0.05;
 
 /// Tolerance (absolute accuracy) for the Figure 3 monotonicity
-/// claims, matching the fig3 binary's indicator.
+/// claims: a level may trail the next smaller one by this much.
 const MONOTONE_TOL: f64 = 0.02;
 
 /// One claim's verdict.

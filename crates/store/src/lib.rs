@@ -19,8 +19,8 @@
 //! server state of the uninterrupted run, so accuracies, RL tables and
 //! communication statistics match to the last bit at any thread count.
 //!
-//! [`run_or_resume`] is the one-call entry point the benchmark
-//! binaries and the sweep engine use, for a method kind or an
+//! [`run_or_resume`] is the one-call entry point the sweep engine
+//! uses for `--resume`, for a method kind or an
 //! explicitly constructed method alike: continue from the newest
 //! valid snapshot in a directory if one exists, otherwise start fresh
 //! — checkpointing either way, through the one general
